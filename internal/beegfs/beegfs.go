@@ -71,10 +71,6 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-type file struct {
-	data []byte
-}
-
 // FS is a BeeGFS instance on the fabric.
 type FS struct {
 	cfg       Config
@@ -83,7 +79,7 @@ type FS struct {
 	metaQ     *vclock.SharedClock
 	targetEPs []int
 	targetQs  []*vclock.SharedClock
-	files     map[string]*file
+	files     map[string]*ioev.File
 	used      int64
 }
 
@@ -96,7 +92,7 @@ func New(net *fabric.Network, cfg Config) *FS {
 		net:    net,
 		metaEP: net.AttachEndpoint(),
 		metaQ:  vclock.NewSharedClock(0),
-		files:  map[string]*file{},
+		files:  map[string]*ioev.File{},
 	}
 	for i := 0; i < cfg.StorageTargets; i++ {
 		fs.targetEPs = append(fs.targetEPs, net.AttachEndpoint())
@@ -128,9 +124,9 @@ func (fs *FS) Create(p ioev.Proc, path string) {
 // SubmitCreate issues the create after dep without parking, from node.
 func (fs *FS) SubmitCreate(dep ioev.Op, path string, node *machine.Node) ioev.Op {
 	if old, ok := fs.files[path]; ok {
-		fs.used -= int64(len(old.data))
+		fs.used -= old.Len()
 	}
-	fs.files[path] = &file{}
+	fs.files[path] = &ioev.File{}
 	return fs.submitMetaOp(dep, node)
 }
 
@@ -146,7 +142,7 @@ func (fs *FS) Size(path string) (int64, error) {
 	if !ok {
 		return 0, fmt.Errorf("beegfs: %s: no such file", path)
 	}
-	return int64(len(f.data)), nil
+	return f.Len(), nil
 }
 
 // Delete removes a file (missing files are a no-op) and parks the caller
@@ -158,7 +154,7 @@ func (fs *FS) Delete(p ioev.Proc, path string) {
 // SubmitDelete issues the delete after dep without parking, from node.
 func (fs *FS) SubmitDelete(dep ioev.Op, path string, node *machine.Node) ioev.Op {
 	if f, ok := fs.files[path]; ok {
-		fs.used -= int64(len(f.data))
+		fs.used -= f.Len()
 		delete(fs.files, path)
 	}
 	return fs.submitMetaOp(dep, node)
@@ -207,23 +203,18 @@ func (fs *FS) Write(p ioev.Proc, path string, offset int64, data []byte) error {
 // SubmitWrite issues the striped write after dep without parking, from
 // node, returning the completion token of the slowest target.
 func (fs *FS) SubmitWrite(dep ioev.Op, path string, offset int64, data []byte, node *machine.Node) (ioev.Op, error) {
-	if offset < 0 {
-		return ioev.Op{}, fmt.Errorf("beegfs: negative offset %d", offset)
-	}
 	f, ok := fs.files[path]
 	if !ok {
 		return ioev.Op{}, fmt.Errorf("beegfs: %s: no such file", path)
 	}
-	newEnd := offset + int64(len(data))
-	grow := newEnd - int64(len(f.data))
-	if grow > 0 {
-		if fs.used+grow > fs.cfg.CapacityBytes {
-			return ioev.Op{}, fmt.Errorf("beegfs: file system full (%d + %d > %d)", fs.used, grow, fs.cfg.CapacityBytes)
-		}
-		f.data = append(f.data, make([]byte, grow)...)
-		fs.used += grow
+	if grow := offset + int64(len(data)) - f.Len(); grow > 0 && fs.used+grow > fs.cfg.CapacityBytes {
+		return ioev.Op{}, fmt.Errorf("beegfs: file system full (%d + %d > %d)", fs.used, grow, fs.cfg.CapacityBytes)
 	}
-	copy(f.data[offset:], data)
+	grew, err := f.WriteAt(data, offset)
+	if err != nil {
+		return ioev.Op{}, fmt.Errorf("beegfs: %s: %w", path, err)
+	}
+	fs.used += grew
 
 	done := dep
 	for t, bytes := range fs.targetSpan(offset, int64(len(data))) {
@@ -256,10 +247,11 @@ func (fs *FS) SubmitRead(dep ioev.Op, path string, offset, size int64, node *mac
 	if !ok {
 		return nil, ioev.Op{}, fmt.Errorf("beegfs: %s: no such file", path)
 	}
-	if offset < 0 || offset+size > int64(len(f.data)) {
-		return nil, ioev.Op{}, fmt.Errorf("beegfs: read [%d,%d) beyond EOF %d of %s", offset, offset+size, len(f.data), path)
+	if offset < 0 || size < 0 || offset+size > f.Len() {
+		return nil, ioev.Op{}, fmt.Errorf("beegfs: read [%d,%d) outside %s of %d bytes", offset, offset+size, path, f.Len())
 	}
-	out := append([]byte(nil), f.data[offset:offset+size]...)
+	out := make([]byte, size)
+	_, _ = f.ReadAt(out, offset) // in range: checked above
 
 	done := dep
 	for t, bytes := range fs.targetSpan(offset, size) {

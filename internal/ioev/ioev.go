@@ -18,7 +18,9 @@
 //     expose mutation: only ioev can mint one from a raw time, so storage
 //     APIs cannot regrow hand-threaded timestamp plumbing.
 //
-// The package also owns the process-global I/O event counters surfaced by
+// The package also holds File, the paged byte store behind every simulated
+// file whose content is kept (BeeGFS files, SION containers on node-local
+// devices), and owns the process-global I/O event counters surfaced by
 // `cbctl run -stats` and `deepsim -stats` (container bytes, cache-domain
 // flushes, buddy copies), mirroring engine.Global for kernel events.
 package ioev

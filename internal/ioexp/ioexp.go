@@ -164,7 +164,7 @@ func Run(p Params) (Outcome, error) {
 			}
 			note(&ret, q.Now())
 			buddy := nodes[(rank+1)%p.Nodes]
-			if err := sion.Buddy(q, sys.Network, buddy, sys.NVMe[buddy.ID], name, payload(rank)); err != nil {
+			if err := sion.Buddy(q, sys.Network, buddy, sys.NVMe[buddy.ID], name, p.Size); err != nil {
 				return err
 			}
 			note(&durable, q.Now())

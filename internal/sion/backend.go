@@ -15,12 +15,12 @@ import (
 // device itself it is mutex-free: the cooperative kernel serialises access.
 type DeviceBackend struct {
 	dev   *nvme.Device
-	files map[string][]byte
+	files map[string]*ioev.File
 }
 
 // NewDeviceBackend wraps an NVMe device.
 func NewDeviceBackend(dev *nvme.Device) *DeviceBackend {
-	return &DeviceBackend{dev: dev, files: map[string][]byte{}}
+	return &DeviceBackend{dev: dev, files: map[string]*ioev.File{}}
 }
 
 // Device returns the underlying device.
@@ -29,7 +29,7 @@ func (d *DeviceBackend) Device() *nvme.Device { return d.dev }
 // SubmitCreate makes an empty file on the device after dep; the node is
 // irrelevant for node-local storage.
 func (d *DeviceBackend) SubmitCreate(dep ioev.Op, path string, node *machine.Node) ioev.Op {
-	d.files[path] = nil
+	d.files[path] = &ioev.File{}
 	op, err := d.dev.SubmitPut(dep, "file:"+path, 0)
 	if err != nil {
 		return dep
@@ -44,14 +44,12 @@ func (d *DeviceBackend) SubmitWrite(dep ioev.Op, path string, offset int64, data
 	if !ok {
 		return ioev.Op{}, fmt.Errorf("sion: device file %s does not exist", path)
 	}
-	if grow := offset + int64(len(data)) - int64(len(f)); grow > 0 {
-		f = append(f, make([]byte, grow)...)
+	if _, err := f.WriteAt(data, offset); err != nil {
+		return ioev.Op{}, fmt.Errorf("sion: device file %s: %w", path, err)
 	}
-	copy(f[offset:], data)
-	d.files[path] = f
 	// Price only the bytes crossing the device: a block flush is an
 	// in-place range write, not a rewrite of the whole container.
-	op, err := d.dev.SubmitUpdate(dep, "file:"+path, int64(len(f)), int64(len(data)))
+	op, err := d.dev.SubmitUpdate(dep, "file:"+path, f.Len(), int64(len(data)))
 	if err != nil {
 		return ioev.Op{}, fmt.Errorf("sion: device write: %w", err)
 	}
@@ -62,10 +60,11 @@ func (d *DeviceBackend) SubmitWrite(dep ioev.Op, path string, offset int64, data
 // read.
 func (d *DeviceBackend) SubmitRead(dep ioev.Op, path string, offset, size int64, node *machine.Node) ([]byte, ioev.Op, error) {
 	f, ok := d.files[path]
-	if !ok || offset < 0 || size < 0 || offset+size > int64(len(f)) {
+	if !ok || offset < 0 || size < 0 || offset+size > f.Len() {
 		return nil, ioev.Op{}, fmt.Errorf("sion: device read [%d,%d) of %s invalid", offset, offset+size, path)
 	}
-	out := append([]byte(nil), f[offset:offset+size]...)
+	out := make([]byte, size)
+	_, _ = f.ReadAt(out, offset) // in range: checked above
 	_, op, err := d.dev.SubmitGet(dep, "file:"+path)
 	if err != nil {
 		return nil, ioev.Op{}, err
@@ -79,14 +78,14 @@ func (d *DeviceBackend) Size(path string) (int64, error) {
 	if !ok {
 		return 0, fmt.Errorf("sion: device file %s does not exist", path)
 	}
-	return int64(len(f)), nil
+	return f.Len(), nil
 }
 
-// Buddy copies a task's local checkpoint data into the NVMe of a companion
-// node — the SIONlib buddy-checkpointing path of §III-C — parking the
-// caller until the redundant copy is safe.
-func Buddy(p ioev.Proc, net *fabric.Network, buddy *machine.Node, buddyDev *nvme.Device, name string, data []byte) error {
-	op, err := SubmitBuddy(net, p.Node(), buddy, buddyDev, name, data, ioev.Start(p))
+// Buddy copies size bytes of a task's local checkpoint into the NVMe of a
+// companion node — the SIONlib buddy-checkpointing path of §III-C — parking
+// the caller until the redundant copy is safe.
+func Buddy(p ioev.Proc, net *fabric.Network, buddy *machine.Node, buddyDev *nvme.Device, name string, size int64) error {
+	op, err := SubmitBuddy(net, p.Node(), buddy, buddyDev, name, size, ioev.Start(p))
 	if err != nil {
 		return err
 	}
@@ -99,13 +98,13 @@ func Buddy(p ioev.Proc, net *fabric.Network, buddy *machine.Node, buddyDev *nvme
 // buddy's device queue at its arrival instant — all priced during the
 // owner's turn, so the redundant copy overlaps whatever else the owner
 // submits. The returned token is when the copy is safe.
-func SubmitBuddy(net *fabric.Network, owner, buddy *machine.Node, buddyDev *nvme.Device, name string, data []byte, dep ioev.Op) (ioev.Op, error) {
+func SubmitBuddy(net *fabric.Network, owner, buddy *machine.Node, buddyDev *nvme.Device, name string, size int64, dep ioev.Op) (ioev.Op, error) {
 	if owner.ID == buddy.ID {
 		return ioev.Op{}, fmt.Errorf("sion: buddy of %s is itself", owner.Name())
 	}
 	// Fabric transfer owner → buddy (rendezvous bulk path).
-	_, arrival := net.Rendezvous(owner, buddy, len(data), dep.Time(), dep.Time())
-	op, err := buddyDev.SubmitPut(ioev.At(arrival), name, int64(len(data)))
+	_, arrival := net.Rendezvous(owner, buddy, int(size), dep.Time(), dep.Time())
+	op, err := buddyDev.SubmitPut(ioev.At(arrival), name, size)
 	if err != nil {
 		return ioev.Op{}, fmt.Errorf("sion: buddy store on %s: %w", buddy.Name(), err)
 	}

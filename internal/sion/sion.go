@@ -37,6 +37,9 @@ import (
 // form: operations are issued against an ioev.Op dependency and return a
 // completion token without parking. *beegfs.FS satisfies it; DeviceBackend
 // adapts a node-local NVMe device.
+//
+// SubmitWrite must copy data before it returns: the Writer flushes blocks
+// straight from the caller's slice and reuses its partial-block buffers.
 type Backend interface {
 	SubmitCreate(dep ioev.Op, path string, node *machine.Node) ioev.Op
 	SubmitWrite(dep ioev.Op, path string, offset int64, data []byte, node *machine.Node) (ioev.Op, error)
@@ -64,7 +67,7 @@ type Writer struct {
 
 	nextOff int64     // next free block offset
 	blocks  [][]block // per task: ordered block list
-	buf     [][]byte  // per task: current partial block
+	buf     [][]byte  // per task: current partial block, reused
 	flushed []vclock.Time
 	closed  bool
 }
@@ -132,11 +135,18 @@ func (w *Writer) SubmitWriteTask(dep ioev.Op, task int, data []byte, node *machi
 	if w.closed {
 		return ioev.Op{}, fmt.Errorf("sion: write to closed container %s", w.path)
 	}
-	w.buf[task] = append(w.buf[task], data...)
 	done := dep
-	for int64(len(w.buf[task])) >= w.blockSize {
-		blk := append([]byte(nil), w.buf[task][:w.blockSize]...)
-		w.buf[task] = w.buf[task][w.blockSize:]
+	buf := w.buf[task]
+	for int64(len(buf)+len(data)) >= w.blockSize {
+		// A block tops up the buffered partial block if there is one and
+		// otherwise goes to the backend straight from data.
+		n := w.blockSize - int64(len(buf))
+		blk := data[:n]
+		if len(buf) > 0 {
+			buf = append(buf, blk...)
+			blk, buf = buf, buf[:0]
+		}
+		data = data[n:]
 		off := w.nextOff
 		w.nextOff += w.blockSize
 		w.blocks[task] = append(w.blocks[task], block{Off: off, Used: w.blockSize})
@@ -147,6 +157,7 @@ func (w *Writer) SubmitWriteTask(dep ioev.Op, task int, data []byte, node *machi
 		ioev.AddContainerBytes(w.blockSize)
 		done = ioev.After(done, t)
 	}
+	w.buf[task] = append(buf, data...)
 	w.flushed[task] = vclock.Max(w.flushed[task], done.Time())
 	return done, nil
 }
@@ -173,38 +184,28 @@ func (w *Writer) SubmitClose(dep ioev.Op, node *machine.Node) (ioev.Op, error) {
 		return ioev.Op{}, fmt.Errorf("sion: double close of %s", w.path)
 	}
 	w.closed = true
-	type pend struct {
-		off  int64
-		data []byte
-	}
-	var flushes []pend
-	for task := 0; task < w.ntasks; task++ {
-		if len(w.buf[task]) == 0 {
-			continue
-		}
-		data := w.buf[task]
-		w.buf[task] = nil
-		off := w.nextOff
-		w.nextOff += w.blockSize // full block reserved: alignment
-		w.blocks[task] = append(w.blocks[task], block{Off: off, Used: int64(len(data))})
-		flushes = append(flushes, pend{off: off, data: data})
-	}
-	tableOff := w.nextOff
-	table := w.encodeTable()
-	header := w.encodeHeader(tableOff)
 	for _, t := range w.flushed {
 		dep = ioev.After(dep, ioev.At(t))
 	}
-
 	done := dep
-	for _, f := range flushes {
-		t, err := w.backend.SubmitWrite(dep, w.path, f.off, f.data, node)
+	for task, data := range w.buf {
+		if len(data) == 0 {
+			continue
+		}
+		off := w.nextOff
+		w.nextOff += w.blockSize // full block reserved: alignment
+		w.blocks[task] = append(w.blocks[task], block{Off: off, Used: int64(len(data))})
+		t, err := w.backend.SubmitWrite(dep, w.path, off, data, node)
 		if err != nil {
 			return ioev.Op{}, fmt.Errorf("sion: close flush: %w", err)
 		}
-		ioev.AddContainerBytes(int64(len(f.data)))
+		ioev.AddContainerBytes(int64(len(data)))
 		done = ioev.After(done, t)
 	}
+	w.buf = nil
+	tableOff := w.nextOff
+	table := w.encodeTable()
+	header := w.encodeHeader(tableOff)
 	t, err := w.backend.SubmitWrite(done, w.path, tableOff, table, node)
 	if err != nil {
 		return ioev.Op{}, fmt.Errorf("sion: block table: %w", err)

@@ -221,9 +221,9 @@ func TestBuddyCopy(t *testing.T) {
 	sys := machine.New(2, 0)
 	net := fabric.New(sys, fabric.Config{})
 	buddyDev := nvme.New(nvme.P3700())
-	data := bytes.Repeat([]byte("ckpt"), 1<<20)
+	const size = 4 << 20
 	a := ioev.Detach(sys.Node(0), vclock.Second)
-	if err := Buddy(a, net, sys.Node(1), buddyDev, "ckpt/rank0/step5", data); err != nil {
+	if err := Buddy(a, net, sys.Node(1), buddyDev, "ckpt/rank0/step5", size); err != nil {
 		t.Fatal(err)
 	}
 	if a.Now() <= vclock.Second {
@@ -232,7 +232,7 @@ func TestBuddyCopy(t *testing.T) {
 	if !buddyDev.Has("ckpt/rank0/step5") {
 		t.Error("buddy device does not hold the copy")
 	}
-	if err := Buddy(a, net, sys.Node(0), buddyDev, "x", data); err == nil {
+	if err := Buddy(a, net, sys.Node(0), buddyDev, "x", size); err == nil {
 		t.Error("self-buddy accepted")
 	}
 }
