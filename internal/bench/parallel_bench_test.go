@@ -3,10 +3,10 @@ package bench
 // Benchmarks of the conservative parallel kernel against its serial
 // baseline, on the workloads the -kworkers mode was built for: the
 // fig8-scale strong-scaling points (thousands of ranks per kernel) and the
-// facility arrival streams. The serial/par4 pairs back the "speedups"
-// section of BENCH_kernel.json — `cbctl bench -check` requires the recorded
-// ratio on hosts with enough cores (results are bit-identical either way;
-// only wall-clock may differ).
+// facility arrival streams. The fig8-scale4096 serial/par4 and serial/par2
+// pairs back the "speedups" section of BENCH_kernel.json — `cbctl bench
+// -check` requires each recorded ratio on hosts with enough cores (results
+// are bit-identical either way; only wall-clock may differ).
 
 import (
 	"testing"
@@ -77,12 +77,14 @@ func BenchmarkKernelFig8Scale(b *testing.B) {
 }
 
 // BenchmarkKernelFig8Scale4096 runs the n=4096 fig8-scale4096 Booster point
-// serial and on 4 kernel workers — the speedup-gated pair: on a >=4-core
-// host par4 must beat serial by the ratio recorded in BENCH_kernel.json.
+// serial and on 4 and 2 kernel workers — the speedup-gated pairs: par4 must
+// beat serial by the ratio recorded in BENCH_kernel.json on a >=4-core host,
+// par2 by its own recorded ratio on a >=2-core host.
 func BenchmarkKernelFig8Scale4096(b *testing.B) {
 	cfg := benchScale4096Config()
 	b.Run("serial", func(b *testing.B) { benchScalePoint(b, 4096, 1, cfg) })
 	b.Run("par4", func(b *testing.B) { benchScalePoint(b, 4096, 4, cfg) })
+	b.Run("par2", func(b *testing.B) { benchScalePoint(b, 4096, 2, cfg) })
 }
 
 // BenchmarkKernelFacilityFailures is BenchmarkKernelFacility on a failing

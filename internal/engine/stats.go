@@ -31,7 +31,9 @@ type Stats struct {
 	// Callbacks counts callback events (CallAt) executed.
 	Callbacks uint64
 	// PeakParked is the high-water mark of simultaneously parked tasks
-	// (tasks in the blocked set, awaiting a wakeup event).
+	// (tasks in the blocked set, awaiting a wakeup event), taken in the
+	// parking task's group at each park and, on a multi-group kernel, over
+	// all groups at each round barrier.
 	PeakParked int
 	// Tasks is the number of tasks registered over the kernel's lifetime.
 	Tasks int

@@ -36,8 +36,9 @@ import (
 //
 // Restrictions: AnySource receives and Probe depend on the exact global
 // interleaving of deliveries from different senders, which round-based
-// delivery does not reproduce; they panic on a parallel kernel. Launches
-// with tracing or failure injection fall back to serial with a recorded
+// delivery does not reproduce; they panic on a parallel kernel, and Launch
+// returns the panic as the rank's error. Launches with tracing, failure
+// injection or allocation revocations fall back to serial with a recorded
 // reason (engine.Stats.Fallback).
 
 // defaultKernelWorkers is the process-wide default worker count applied by
