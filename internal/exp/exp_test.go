@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+
+	"clusterbooster/internal/sweep"
 )
 
 // paperOrder is the catalog contract: the five paper artifacts in reading
@@ -179,5 +181,20 @@ func TestRenderFromDocument(t *testing.T) {
 		if !strings.Contains(text, want) {
 			t.Errorf("rendered table2 missing %q:\n%s", want, text)
 		}
+	}
+}
+
+// TestPointLookupKeepsFirstMiss: a family's measures read points through
+// pointLookup, which must carry the first missing point or metric out so
+// registerSweep fails the run instead of recording a measure built from 0.
+func TestPointLookupKeepsFirstMiss(t *testing.T) {
+	l := pointLookup{rs: sweep.ResultSet{Results: []sweep.Result{{Name: "a", Metrics: sweep.Metrics{"x": 2}}}}}
+	if v := l.at("a", "x"); v != 2 || l.err != nil {
+		t.Fatalf(`at("a", "x") = %v with err %v; want 2, nil`, v, l.err)
+	}
+	l.at("b", "x")
+	l.at("a", "y")
+	if l.err == nil || !strings.Contains(l.err.Error(), `"b"`) {
+		t.Fatalf("err = %v; want the first miss (scenario \"b\")", l.err)
 	}
 }

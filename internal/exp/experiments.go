@@ -10,6 +10,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"reflect"
+	"strings"
 
 	"clusterbooster/internal/bench"
 	"clusterbooster/internal/sweep"
@@ -128,22 +129,39 @@ func sweepMeasures(rs sweep.ResultSet) map[string]float64 {
 	return m
 }
 
-// parsePayload decodes a document payload into a typed result.
-func parsePayload[T any](d Document) (T, error) {
-	var out T
-	if err := json.Unmarshal(d.Payload, &out); err != nil {
-		return out, fmt.Errorf("exp: %s: decode payload: %w", d.Experiment, err)
+// renderPayload is the one Render of every experiment: decode the payload
+// as T, then render it as paper-style text.
+func renderPayload[T any](render func(T) string) func(Document) (string, error) {
+	return func(d Document) (string, error) {
+		var v T
+		if err := json.Unmarshal(d.Payload, &v); err != nil {
+			return "", fmt.Errorf("exp: %s: decode payload: %w", d.Experiment, err)
+		}
+		return render(v), nil
 	}
-	return out, nil
 }
 
-// registerSweep registers a raw-result-set experiment over a scenario
-// generator. The payload is the sweep.ResultSet itself — exactly the
-// document `deepsim -sweep -json` and `fabbench -json` emit — so golden
-// sweeps gate the whole emitter pipeline, not just the physics.
-func registerSweep(e Experiment, scenarios func(Options) ([]sweep.Scenario, string, error)) {
+// sweepFamily declares one sweep-payload experiment as data: its catalog
+// header, its scenario builder, the meta it records, and the measures it
+// derives from the finished sweep. Families that want the scenarios/max_*
+// summary call sweepMeasures from their measures function themselves.
+type sweepFamily struct {
+	Experiment
+	scenarios func(Options) ([]sweep.Scenario, error)
+	meta      func(Options) map[string]string
+	measures  func(sweep.ResultSet) (map[string]float64, error)
+}
+
+// registerSweep registers a sweep-payload experiment. It owns the one run
+// path of every such family: build the scenarios, run them, abort on the
+// first failed one, derive the measures. The payload is the sweep.ResultSet
+// itself — exactly the document `deepsim -sweep -json` and `fabbench -json`
+// emit — so golden sweeps gate the whole emitter pipeline, not just the
+// physics.
+func registerSweep(f sweepFamily) {
+	e := f.Experiment
 	e.Run = func(o Options) (Document, error) {
-		scen, profile, err := scenarios(o)
+		scen, err := f.scenarios(o)
 		if err != nil {
 			return Document{}, err
 		}
@@ -151,17 +169,53 @@ func registerSweep(e Experiment, scenarios func(Options) ([]sweep.Scenario, stri
 		if err := rs.FirstError(); err != nil {
 			return Document{}, fmt.Errorf("exp: %s: %w", e.Name, err)
 		}
-		meta := map[string]string{"profile": profile}
-		return e.document(meta, sweepMeasures(rs), rs)
-	}
-	e.Render = func(d Document) (string, error) {
-		rs, err := parsePayload[sweep.ResultSet](d)
+		measures, err := f.measures(rs)
 		if err != nil {
-			return "", err
+			return Document{}, fmt.Errorf("exp: %s: %w", e.Name, err)
 		}
-		return rs.RenderText(), nil
+		return e.document(f.meta(o), measures, rs)
 	}
+	e.Render = renderPayload(sweep.ResultSet.RenderText)
 	Register(e)
+}
+
+// summaryOnly is the measures function of families that record just the
+// sweepMeasures summary.
+func summaryOnly(rs sweep.ResultSet) (map[string]float64, error) { return sweepMeasures(rs), nil }
+
+// workloadMeta records the profile label of the run's xPic workload.
+func workloadMeta(o Options) map[string]string {
+	_, profile := workload(o)
+	return map[string]string{"profile": profile}
+}
+
+// pointLookup reads metrics of named scenarios off a finished sweep. It
+// keeps the first missing point or metric, which the family returns instead
+// of deriving a measure from it.
+type pointLookup struct {
+	rs  sweep.ResultSet
+	err error
+}
+
+func (l *pointLookup) at(scenario, metric string) float64 {
+	v, err := l.rs.Metric(scenario, metric)
+	if err != nil && l.err == nil {
+		l.err = err
+	}
+	return v
+}
+
+// boosterSplitModes is the mode axis of the scaling families.
+func boosterSplitModes() []xpic.Mode { return []xpic.Mode{xpic.BoosterOnly, xpic.SplitCB} }
+
+// boosterSplitMakespans pairs the makespans of a sweep whose scenarios run
+// node counts outermost and boosterSplitModes within each count.
+func boosterSplitMakespans(rs sweep.ResultSet) (booster, split []float64) {
+	for i := 0; i+1 < len(rs.Results); i += 2 {
+		booster = append(booster, rs.Results[i].Metrics["makespan_s"])
+		split = append(split, rs.Results[i+1].Metrics["makespan_s"])
+	}
+	return booster, split
 }
 
 func init() {
@@ -170,9 +224,7 @@ func init() {
 	registerFig3()
 	registerFig7()
 	registerFig8()
-	registerFig8Scale()
-	registerFig8Scale4096()
-	registerFig8Scale16384()
+	registerFig8ScaleFamily()
 	registerFigResilience()
 	registerFigIO()
 	registerFigFacility()
@@ -196,13 +248,7 @@ func registerTable1() {
 	e.Run = func(o Options) (Document, error) {
 		return e.document(nil, nil, bench.Table1())
 	}
-	e.Render = func(d Document) (string, error) {
-		rows, err := parsePayload[[]bench.Table1Row](d)
-		if err != nil {
-			return "", err
-		}
-		return bench.RenderTable1Rows(rows), nil
-	}
+	e.Render = renderPayload(bench.RenderTable1Rows)
 	Register(e)
 }
 
@@ -223,13 +269,7 @@ func registerTable2() {
 		}
 		return e.document(map[string]string{"profile": profileLabel(cfg)}, nil, bench.Table2Rows(cfg))
 	}
-	e.Render = func(d Document) (string, error) {
-		rows, err := parsePayload[[]bench.Table2Row](d)
-		if err != nil {
-			return "", err
-		}
-		return bench.RenderTable2Rows(rows), nil
-	}
+	e.Render = renderPayload(bench.RenderTable2Rows)
 	Register(e)
 }
 
@@ -274,13 +314,7 @@ func registerFig3() {
 		}
 		return e.document(map[string]string{"profile": "paper"}, measures, rows)
 	}
-	e.Render = func(d Document) (string, error) {
-		rows, err := parsePayload[[]bench.Fig3Row](d)
-		if err != nil {
-			return "", err
-		}
-		return bench.RenderFig3(rows), nil
-	}
+	e.Render = renderPayload(bench.RenderFig3)
 	Register(e)
 }
 
@@ -327,13 +361,7 @@ func registerFig7() {
 		reportMeasures(measures, "split", res.Split)
 		return e.document(profileMeta(cfg, profile), measures, res)
 	}
-	e.Render = func(d Document) (string, error) {
-		res, err := parsePayload[bench.Fig7Result](d)
-		if err != nil {
-			return "", err
-		}
-		return bench.RenderFig7(res), nil
-	}
+	e.Render = renderPayload(bench.RenderFig7)
 	Register(e)
 }
 
@@ -379,92 +407,7 @@ func registerFig8() {
 		}
 		return e.document(profileMeta(cfg, profile), measures, res)
 	}
-	e.Render = func(d Document) (string, error) {
-		res, err := parsePayload[bench.Fig8Result](d)
-		if err != nil {
-			return "", err
-		}
-		return bench.RenderFig8(res), nil
-	}
-	Register(e)
-}
-
-// fig8ScaleCounts is the x axis of the past-prototype strong-scaling study.
-func fig8ScaleCounts() []int { return []int{16, 64, 256, 1024} }
-
-// registerFig8Scale registers the beyond-prototype continuation of Fig. 8:
-// Cluster+Booster vs Booster-only at 16 to 1024 nodes per solver, on the
-// pinned ScaleProfile workload. The workload is not overridable (the grid
-// only decomposes for NY % 1024 == 0), so deepsim/cbctl runs always
-// reproduce the golden. Efficiencies are normalised to the first point
-// (n = 16), the classic strong-scaling presentation.
-func registerFig8Scale() {
-	counts := fig8ScaleCounts()
-	e := Experiment{
-		Name:    "fig8-scale",
-		Title:   "Beyond the prototype: C+B vs Booster-only strong scaling to n=1024",
-		Version: 1,
-		Grid:    "4 node counts (16,64,256,1024) x 2 execution modes (Booster, C+B), pinned scale workload",
-		Profile: "ci-scale",
-		Tolerance: map[string]float64{
-			"*": 0.02,
-		},
-		// Strong scaling at 2 rows per rank is brutally communication-bound,
-		// and the fixed MPI_Comm_spawn cost cannot amortise over 8 reduced
-		// steps — so C+B honestly loses to Booster-only here (gain < 1), the
-		// same efficiency erosion Fig. 8 shows, extrapolated. The budgets pin
-		// that measured behaviour as a regression floor: a kernel or model
-		// change that degrades the n=1024 point past these bounds fails diff
-		// even after a bless. (The weak-scaling sweep shows the flip side:
-		// with constant per-rank work the split holds its efficiency.)
-		Budgets: []Budget{
-			{Measure: "eff_split_n1024", Kind: MinBudget, Bound: 0.015},
-			{Measure: "gain_vs_booster_n1024", Kind: MinBudget, Bound: 0.2},
-			{Measure: "split_makespan_n1024_s", Kind: MaxBudget, Bound: 0.04},
-		},
-	}
-	e.Run = func(o Options) (Document, error) {
-		cfg := ScaleProfile()
-		grid := sweep.Grid{
-			Name:       "fig8-scale",
-			NodeCounts: counts,
-			Modes:      []xpic.Mode{xpic.BoosterOnly, xpic.SplitCB},
-			Workloads:  []sweep.WorkloadVariant{{Name: "scale", Config: cfg}},
-		}
-		scen, err := grid.Scenarios()
-		if err != nil {
-			return Document{}, err
-		}
-		rs := sweep.Run(scen, sweepOpts(o))
-		if err := rs.FirstError(); err != nil {
-			return Document{}, fmt.Errorf("exp: fig8-scale: %w", err)
-		}
-		// Grid order: node counts outermost, then [Booster, C+B].
-		makespan := func(i int) (booster, split float64) {
-			return rs.Results[2*i].Metrics["makespan_s"], rs.Results[2*i+1].Metrics["makespan_s"]
-		}
-		b0, s0 := makespan(0)
-		n0 := float64(counts[0])
-		measures := map[string]float64{}
-		for i, n := range counts {
-			b, s := makespan(i)
-			measures[fmt.Sprintf("booster_makespan_n%d_s", n)] = b
-			measures[fmt.Sprintf("split_makespan_n%d_s", n)] = s
-			// Strong-scaling efficiency relative to the n=16 point.
-			measures[fmt.Sprintf("eff_booster_n%d", n)] = b0 * n0 / (b * float64(n))
-			measures[fmt.Sprintf("eff_split_n%d", n)] = s0 * n0 / (s * float64(n))
-			measures[fmt.Sprintf("gain_vs_booster_n%d", n)] = b / s
-		}
-		meta := profileMeta(cfg, "ci-scale")
-		return e.document(meta, measures, rs)
-	}
-	e.Render = func(d Document) (string, error) {
-		rs, err := parsePayload[sweep.ResultSet](d)
-		if err != nil {
-			return "", err
-		}
-		return rs.RenderText(), nil
-	}
+	e.Render = renderPayload(bench.RenderFig8)
 	Register(e)
 }
 
@@ -480,83 +423,6 @@ func Scale4096Profile() xpic.Config {
 	cfg.CGMaxIter = 8
 	cfg.DiagEvery = 2
 	return cfg
-}
-
-// registerFig8Scale4096 registers the n=4096 extension of the fig8-scale
-// study: Booster-only vs C+B at 1024 and 4096 ranks per solver on the
-// stretched workload. It is a separate experiment (rather than a fifth
-// fig8-scale point) so the fig8-scale golden stays byte-identical; the
-// n=1024 point inside THIS profile is the efficiency reference. The C+B
-// scenario at n=4096 runs 8193 tasks on one kernel — the event queue holds
-// thousands of pending wakeups, the regime the calendar queue exists for.
-func registerFig8Scale4096() {
-	counts := []int{1024, 4096}
-	e := Experiment{
-		Name:    "fig8-scale4096",
-		Title:   "Beyond the prototype, 4x further: C+B vs Booster-only at n=4096",
-		Version: 1,
-		Grid:    "2 node counts (1024,4096) x 2 execution modes (Booster, C+B), pinned scale4096 workload",
-		Profile: "ci-scale4096",
-		Tolerance: map[string]float64{
-			"*": 0.02,
-		},
-		// Strong scaling at the 2-rows-per-rank floor is communication-bound
-		// and the fixed MPI_Comm_spawn cost dominates 4 trimmed steps
-		// outright (split makespans are ~26 ms of which 25 ms is spawn), so
-		// C+B loses to Booster-only here even harder than fig8-scale shows
-		// at n=1024. Measured: booster 2.87 ms / split 26.6 ms at n=4096,
-		// eff_split 0.249, gain 0.108. The bounds pin that behaviour as a
-		// regression floor.
-		Budgets: []Budget{
-			{Measure: "eff_split_n4096", Kind: MinBudget, Bound: 0.15},
-			{Measure: "gain_vs_booster_n4096", Kind: MinBudget, Bound: 0.08},
-			{Measure: "split_makespan_n4096_s", Kind: MaxBudget, Bound: 0.035},
-			{Measure: "booster_makespan_n4096_s", Kind: MaxBudget, Bound: 0.005},
-		},
-	}
-	e.Run = func(o Options) (Document, error) {
-		cfg := Scale4096Profile()
-		grid := sweep.Grid{
-			Name:       "fig8-scale4096",
-			NodeCounts: counts,
-			Modes:      []xpic.Mode{xpic.BoosterOnly, xpic.SplitCB},
-			Workloads:  []sweep.WorkloadVariant{{Name: "scale4096", Config: cfg}},
-		}
-		scen, err := grid.Scenarios()
-		if err != nil {
-			return Document{}, err
-		}
-		rs := sweep.Run(scen, sweepOpts(o))
-		if err := rs.FirstError(); err != nil {
-			return Document{}, fmt.Errorf("exp: fig8-scale4096: %w", err)
-		}
-		// Grid order: node counts outermost, then [Booster, C+B].
-		makespan := func(i int) (booster, split float64) {
-			return rs.Results[2*i].Metrics["makespan_s"], rs.Results[2*i+1].Metrics["makespan_s"]
-		}
-		b0, s0 := makespan(0)
-		n0 := float64(counts[0])
-		measures := map[string]float64{}
-		for i, n := range counts {
-			b, s := makespan(i)
-			measures[fmt.Sprintf("booster_makespan_n%d_s", n)] = b
-			measures[fmt.Sprintf("split_makespan_n%d_s", n)] = s
-			// Strong-scaling efficiency relative to the n=1024 point.
-			measures[fmt.Sprintf("eff_booster_n%d", n)] = b0 * n0 / (b * float64(n))
-			measures[fmt.Sprintf("eff_split_n%d", n)] = s0 * n0 / (s * float64(n))
-			measures[fmt.Sprintf("gain_vs_booster_n%d", n)] = b / s
-		}
-		meta := profileMeta(cfg, "ci-scale4096")
-		return e.document(meta, measures, rs)
-	}
-	e.Render = func(d Document) (string, error) {
-		rs, err := parsePayload[sweep.ResultSet](d)
-		if err != nil {
-			return "", err
-		}
-		return rs.RenderText(), nil
-	}
-	Register(e)
 }
 
 // Scale16384Profile returns the workload of the fig8-scale16384 study: the
@@ -575,77 +441,138 @@ func Scale16384Profile() xpic.Config {
 	return cfg
 }
 
-// registerFig8Scale16384 registers the n=16384 extension of the fig8-scale
-// family: Booster-only vs C+B at 4096 and 16384 ranks per solver on the
-// stretched workload. As with fig8-scale4096 it is a separate experiment so
-// the earlier goldens stay byte-identical, and the n=4096 point inside THIS
-// profile is the efficiency reference.
-func registerFig8Scale16384() {
-	counts := []int{4096, 16384}
-	e := Experiment{
-		Name:    "fig8-scale16384",
-		Title:   "Beyond the prototype, 16x further: C+B vs Booster-only at n=16384",
-		Version: 1,
-		Grid:    "2 node counts (4096,16384) x 2 execution modes (Booster, C+B), pinned scale16384 workload",
-		Profile: "ci-scale16384",
-		Tolerance: map[string]float64{
-			"*": 0.02,
+// scaleRow is one experiment of the fig8-scale family: the beyond-prototype
+// continuation of Fig. 8, Booster-only vs C+B strong scaling on a pinned
+// workload whose grid decomposes to two rows per rank at the row's largest
+// count. The workload is not overridable (the grid only decomposes for
+// NY % max(counts) == 0), so deepsim/cbctl runs always reproduce the
+// golden. Each row after the first starts at the previous row's last count:
+// that point, run inside the row's own profile, is its efficiency
+// reference. Rows are separate experiments rather than extra points so each
+// earlier golden stays byte-identical.
+type scaleRow struct {
+	name, title string
+	counts      []int
+	profile     func() xpic.Config
+	// workload names the sweep's workload variant; the profile label is
+	// "ci-" + workload.
+	workload string
+	budgets  []Budget
+}
+
+// scaleRows is the fig8-scale family, in registry order.
+func scaleRows() []scaleRow {
+	return []scaleRow{
+		{
+			name:     "fig8-scale",
+			title:    "Beyond the prototype: C+B vs Booster-only strong scaling to n=1024",
+			counts:   []int{16, 64, 256, 1024},
+			profile:  ScaleProfile,
+			workload: "scale",
+			// Strong scaling at 2 rows per rank is brutally
+			// communication-bound, and the fixed MPI_Comm_spawn cost cannot
+			// amortise over 8 reduced steps — so C+B honestly loses to
+			// Booster-only here (gain < 1), the same efficiency erosion
+			// Fig. 8 shows, extrapolated. The budgets pin that measured
+			// behaviour as a regression floor: a kernel or model change that
+			// degrades the n=1024 point past these bounds fails diff even
+			// after a bless. (The weak-scaling sweep shows the flip side:
+			// with constant per-rank work the split holds its efficiency.)
+			budgets: []Budget{
+				{Measure: "eff_split_n1024", Kind: MinBudget, Bound: 0.015},
+				{Measure: "gain_vs_booster_n1024", Kind: MinBudget, Bound: 0.2},
+				{Measure: "split_makespan_n1024_s", Kind: MaxBudget, Bound: 0.04},
+			},
 		},
-		// Same regime as fig8-scale4096, 4x further: strong scaling at the
-		// 2-rows-per-rank floor is communication-bound and the fixed
-		// MPI_Comm_spawn cost dominates 2 trimmed steps outright, so C+B
-		// loses to Booster-only. The bounds pin the measured behaviour as a
-		// regression floor.
-		Budgets: []Budget{
-			{Measure: "eff_split_n16384", Kind: MinBudget, Bound: 0.15},
-			{Measure: "gain_vs_booster_n16384", Kind: MinBudget, Bound: 0.03},
-			{Measure: "split_makespan_n16384_s", Kind: MaxBudget, Bound: 0.035},
-			{Measure: "booster_makespan_n16384_s", Kind: MaxBudget, Bound: 0.003},
+		{
+			// The C+B scenario at n=4096 runs 8193 tasks on one kernel: the
+			// event queue holds thousands of pending wakeups, the regime the
+			// calendar queue exists for.
+			name:     "fig8-scale4096",
+			title:    "Beyond the prototype, 4x further: C+B vs Booster-only at n=4096",
+			counts:   []int{1024, 4096},
+			profile:  Scale4096Profile,
+			workload: "scale4096",
+			// Strong scaling at the 2-rows-per-rank floor is
+			// communication-bound and the fixed MPI_Comm_spawn cost dominates
+			// 4 trimmed steps outright (split makespans are ~26 ms of which
+			// 25 ms is spawn), so C+B loses to Booster-only here even harder
+			// than fig8-scale shows at n=1024. Measured: booster 2.87 ms /
+			// split 26.6 ms at n=4096, eff_split 0.249, gain 0.108. The
+			// bounds pin that behaviour as a regression floor.
+			budgets: []Budget{
+				{Measure: "eff_split_n4096", Kind: MinBudget, Bound: 0.15},
+				{Measure: "gain_vs_booster_n4096", Kind: MinBudget, Bound: 0.08},
+				{Measure: "split_makespan_n4096_s", Kind: MaxBudget, Bound: 0.035},
+				{Measure: "booster_makespan_n4096_s", Kind: MaxBudget, Bound: 0.005},
+			},
+		},
+		{
+			name:     "fig8-scale16384",
+			title:    "Beyond the prototype, 16x further: C+B vs Booster-only at n=16384",
+			counts:   []int{4096, 16384},
+			profile:  Scale16384Profile,
+			workload: "scale16384",
+			// Same regime as fig8-scale4096, 4x further: strong scaling at
+			// the 2-rows-per-rank floor is communication-bound and the fixed
+			// MPI_Comm_spawn cost dominates 2 trimmed steps outright, so C+B
+			// loses to Booster-only. The bounds pin the measured behaviour as
+			// a regression floor.
+			budgets: []Budget{
+				{Measure: "eff_split_n16384", Kind: MinBudget, Bound: 0.15},
+				{Measure: "gain_vs_booster_n16384", Kind: MinBudget, Bound: 0.03},
+				{Measure: "split_makespan_n16384_s", Kind: MaxBudget, Bound: 0.035},
+				{Measure: "booster_makespan_n16384_s", Kind: MaxBudget, Bound: 0.003},
+			},
 		},
 	}
-	e.Run = func(o Options) (Document, error) {
-		cfg := Scale16384Profile()
-		grid := sweep.Grid{
-			Name:       "fig8-scale16384",
-			NodeCounts: counts,
-			Modes:      []xpic.Mode{xpic.BoosterOnly, xpic.SplitCB},
-			Workloads:  []sweep.WorkloadVariant{{Name: "scale16384", Config: cfg}},
-		}
-		scen, err := grid.Scenarios()
-		if err != nil {
-			return Document{}, err
-		}
-		rs := sweep.Run(scen, sweepOpts(o))
-		if err := rs.FirstError(); err != nil {
-			return Document{}, fmt.Errorf("exp: fig8-scale16384: %w", err)
-		}
-		// Grid order: node counts outermost, then [Booster, C+B].
-		makespan := func(i int) (booster, split float64) {
-			return rs.Results[2*i].Metrics["makespan_s"], rs.Results[2*i+1].Metrics["makespan_s"]
-		}
-		b0, s0 := makespan(0)
-		n0 := float64(counts[0])
-		measures := map[string]float64{}
-		for i, n := range counts {
-			b, s := makespan(i)
-			measures[fmt.Sprintf("booster_makespan_n%d_s", n)] = b
-			measures[fmt.Sprintf("split_makespan_n%d_s", n)] = s
-			// Strong-scaling efficiency relative to the n=4096 point.
-			measures[fmt.Sprintf("eff_booster_n%d", n)] = b0 * n0 / (b * float64(n))
-			measures[fmt.Sprintf("eff_split_n%d", n)] = s0 * n0 / (s * float64(n))
-			measures[fmt.Sprintf("gain_vs_booster_n%d", n)] = b / s
-		}
-		meta := profileMeta(cfg, "ci-scale16384")
-		return e.document(meta, measures, rs)
+}
+
+// registerFig8ScaleFamily registers every scaleRow; every catalog string of
+// a row is derived from the row.
+func registerFig8ScaleFamily() {
+	for _, r := range scaleRows() {
+		label := "ci-" + r.workload
+		registerSweep(sweepFamily{
+			Experiment: Experiment{
+				Name:    r.name,
+				Title:   r.title,
+				Version: 1,
+				Grid: fmt.Sprintf("%d node counts (%s) x 2 execution modes (Booster, C+B), pinned %s workload",
+					len(r.counts), strings.Trim(strings.ReplaceAll(fmt.Sprint(r.counts), " ", ","), "[]"), r.workload),
+				Profile:   label,
+				Tolerance: map[string]float64{"*": 0.02},
+				Budgets:   r.budgets,
+			},
+			scenarios: func(Options) ([]sweep.Scenario, error) {
+				return sweep.Grid{
+					Name:       r.name,
+					NodeCounts: r.counts,
+					Modes:      boosterSplitModes(),
+					Workloads:  []sweep.WorkloadVariant{{Name: r.workload, Config: r.profile()}},
+				}.Scenarios()
+			},
+			meta:     func(Options) map[string]string { return profileMeta(r.profile(), label) },
+			measures: r.measures,
+		})
 	}
-	e.Render = func(d Document) (string, error) {
-		rs, err := parsePayload[sweep.ResultSet](d)
-		if err != nil {
-			return "", err
-		}
-		return rs.RenderText(), nil
+}
+
+// measures derives the row's strong-scaling measures: per-count makespans,
+// the C+B gain, and efficiency relative to the row's first count.
+func (r scaleRow) measures(rs sweep.ResultSet) (map[string]float64, error) {
+	booster, split := boosterSplitMakespans(rs)
+	b0, s0, n0 := booster[0], split[0], float64(r.counts[0])
+	m := map[string]float64{}
+	for i, n := range r.counts {
+		b, s := booster[i], split[i]
+		m[fmt.Sprintf("booster_makespan_n%d_s", n)] = b
+		m[fmt.Sprintf("split_makespan_n%d_s", n)] = s
+		m[fmt.Sprintf("eff_booster_n%d", n)] = b0 * n0 / (b * float64(n))
+		m[fmt.Sprintf("eff_split_n%d", n)] = s0 * n0 / (s * float64(n))
+		m[fmt.Sprintf("gain_vs_booster_n%d", n)] = b / s
 	}
-	Register(e)
+	return m, nil
 }
 
 // registerSweepXPicWeak registers the weak-scaling grid: a constant slab per
@@ -654,134 +581,142 @@ func registerFig8Scale16384() {
 // halo/collective traffic may erode it.
 func registerSweepXPicWeak() {
 	counts := []int{4, 16, 64, 256}
-	e := Experiment{
-		Name:      "sweep/xpic-weak",
-		Title:     "Raw sweep: xPic weak scaling (constant 8x32-cell slab per rank)",
-		Version:   1,
-		Grid:      "4 node counts (4,16,64,256) x 2 execution modes (Booster, C+B), per-rank workload constant",
-		Profile:   "ci-scale",
-		Tolerance: map[string]float64{"*": 0.02},
-		// Measured at ci-scale: the split mode holds ~95 % weak efficiency at
-		// n=256 (the spawn cost amortises and per-rank work is constant)
-		// while Booster-only erodes to ~62 % under the growing collectives —
-		// the weak-scaling argument for the Cluster-Booster architecture.
-		Budgets: []Budget{
-			{Measure: "weak_eff_split_n256", Kind: MinBudget, Bound: 0.85},
-			{Measure: "weak_eff_booster_n256", Kind: MinBudget, Bound: 0.5},
-			{Measure: "max_makespan_s", Kind: MaxBudget, Bound: 0.05},
+	registerSweep(sweepFamily{
+		Experiment: Experiment{
+			Name:      "sweep/xpic-weak",
+			Title:     "Raw sweep: xPic weak scaling (constant 8x32-cell slab per rank)",
+			Version:   1,
+			Grid:      "4 node counts (4,16,64,256) x 2 execution modes (Booster, C+B), per-rank workload constant",
+			Profile:   "ci-scale",
+			Tolerance: map[string]float64{"*": 0.02},
+			// Measured at ci-scale: the split mode holds ~95 % weak
+			// efficiency at n=256 (the spawn cost amortises and per-rank work
+			// is constant) while Booster-only erodes to ~62 % under the
+			// growing collectives — the weak-scaling argument for the
+			// Cluster-Booster architecture.
+			Budgets: []Budget{
+				{Measure: "weak_eff_split_n256", Kind: MinBudget, Bound: 0.85},
+				{Measure: "weak_eff_booster_n256", Kind: MinBudget, Bound: 0.5},
+				{Measure: "max_makespan_s", Kind: MaxBudget, Bound: 0.05},
+			},
 		},
-	}
-	e.Run = func(o Options) (Document, error) {
-		var scen []sweep.Scenario
-		for _, n := range counts {
-			for _, mode := range []xpic.Mode{xpic.BoosterOnly, xpic.SplitCB} {
-				p := sweep.XPicPoint{NodesPerSolver: n, Mode: mode, Workload: weakProfile(n)}
-				scen = append(scen, p.Scenario(fmt.Sprintf("weak/n=%d/%s", n, mode)))
+		scenarios: func(Options) ([]sweep.Scenario, error) {
+			var scen []sweep.Scenario
+			for _, n := range counts {
+				for _, mode := range boosterSplitModes() {
+					p := sweep.XPicPoint{NodesPerSolver: n, Mode: mode, Workload: weakProfile(n)}
+					scen = append(scen, p.Scenario(fmt.Sprintf("weak/n=%d/%s", n, mode)))
+				}
 			}
-		}
-		rs := sweep.Run(scen, sweepOpts(o))
-		if err := rs.FirstError(); err != nil {
-			return Document{}, fmt.Errorf("exp: sweep/xpic-weak: %w", err)
-		}
-		measures := sweepMeasures(rs)
-		makespan := func(i int) (booster, split float64) {
-			return rs.Results[2*i].Metrics["makespan_s"], rs.Results[2*i+1].Metrics["makespan_s"]
-		}
-		b0, s0 := makespan(0)
-		for i, n := range counts {
-			b, s := makespan(i)
-			// Weak-scaling efficiency: T(n0) / T(n) per mode.
-			measures[fmt.Sprintf("weak_eff_booster_n%d", n)] = b0 / b
-			measures[fmt.Sprintf("weak_eff_split_n%d", n)] = s0 / s
-		}
-		return e.document(map[string]string{"profile": "ci-scale"}, measures, rs)
-	}
-	e.Render = func(d Document) (string, error) {
-		rs, err := parsePayload[sweep.ResultSet](d)
-		if err != nil {
-			return "", err
-		}
-		return rs.RenderText(), nil
-	}
-	Register(e)
+			return scen, nil
+		},
+		meta: func(Options) map[string]string { return map[string]string{"profile": "ci-scale"} },
+		measures: func(rs sweep.ResultSet) (map[string]float64, error) {
+			m := sweepMeasures(rs)
+			booster, split := boosterSplitMakespans(rs)
+			for i, n := range counts {
+				// Weak-scaling efficiency: T(n0) / T(n) per mode.
+				m[fmt.Sprintf("weak_eff_booster_n%d", n)] = booster[0] / booster[i]
+				m[fmt.Sprintf("weak_eff_split_n%d", n)] = split[0] / split[i]
+			}
+			return m, nil
+		},
+	})
 }
 
 func registerSweepFig3() {
-	registerSweep(Experiment{
-		Name:    "sweep/fig3",
-		Title:   "Raw sweep: Fig. 3 measurement grid (fabbench -json form)",
-		Version: 1,
-		Grid:    "25 message sizes x 3 node-type pairs",
-		Profile: "paper",
-		Tolerance: map[string]float64{
-			"bandwidth_MBs": 0.05, "latency_us": 0.05,
-			"max_bandwidth_MBs": 0.05, "max_latency_us": 0.05,
+	registerSweep(sweepFamily{
+		Experiment: Experiment{
+			Name:    "sweep/fig3",
+			Title:   "Raw sweep: Fig. 3 measurement grid (fabbench -json form)",
+			Version: 1,
+			Grid:    "25 message sizes x 3 node-type pairs",
+			Profile: "paper",
+			Tolerance: map[string]float64{
+				"bandwidth_MBs": 0.05, "latency_us": 0.05,
+				"max_bandwidth_MBs": 0.05, "max_latency_us": 0.05,
+			},
+			// The 16 MiB message dominates max_latency_us (~1.5 ms on the
+			// ~11 GB/s converged links).
+			Budgets: []Budget{
+				{Measure: "max_latency_us", Kind: MaxBudget, Bound: 2000},
+			},
 		},
-		// The 16 MiB message dominates max_latency_us (~1.5 ms on the
-		// ~11 GB/s converged links).
-		Budgets: []Budget{
-			{Measure: "max_latency_us", Kind: MaxBudget, Bound: 2000},
+		scenarios: func(Options) ([]sweep.Scenario, error) {
+			return bench.Fig3Scenarios(bench.Fig3Sizes()), nil
 		},
-	}, func(o Options) ([]sweep.Scenario, string, error) {
-		return bench.Fig3Scenarios(bench.Fig3Sizes()), "paper", nil
+		meta:     func(Options) map[string]string { return map[string]string{"profile": "paper"} },
+		measures: summaryOnly,
 	})
 }
 
 func registerSweepFig7() {
-	registerSweep(Experiment{
-		Name:      "sweep/fig7",
-		Title:     "Raw sweep: Fig. 7 grid through the sweep engine",
-		Version:   1,
-		Grid:      "1 node per solver x 3 execution modes",
-		Profile:   "ci-quick",
-		Tolerance: map[string]float64{"*": 0.02},
-		// Cluster-only at n=1 is the slowest scenario: 2.70 virtual s.
-		Budgets: []Budget{
-			{Measure: "max_makespan_s", Kind: MaxBudget, Bound: 3.2},
+	registerSweep(sweepFamily{
+		Experiment: Experiment{
+			Name:      "sweep/fig7",
+			Title:     "Raw sweep: Fig. 7 grid through the sweep engine",
+			Version:   1,
+			Grid:      "1 node per solver x 3 execution modes",
+			Profile:   "ci-quick",
+			Tolerance: map[string]float64{"*": 0.02},
+			// Cluster-only at n=1 is the slowest scenario: 2.70 virtual s.
+			Budgets: []Budget{
+				{Measure: "max_makespan_s", Kind: MaxBudget, Bound: 3.2},
+			},
 		},
-	}, func(o Options) ([]sweep.Scenario, string, error) {
-		cfg, profile := workload(o)
-		scen, err := bench.Fig7Grid(cfg).Scenarios()
-		return scen, profile, err
+		scenarios: func(o Options) ([]sweep.Scenario, error) {
+			cfg, _ := workload(o)
+			return bench.Fig7Grid(cfg).Scenarios()
+		},
+		meta:     workloadMeta,
+		measures: summaryOnly,
 	})
 }
 
 func registerSweepFig8() {
-	registerSweep(Experiment{
-		Name:      "sweep/fig8",
-		Title:     "Raw sweep: Fig. 8 strong-scaling grid through the sweep engine",
-		Version:   1,
-		Grid:      "4 node counts (1,2,4,8) x 3 execution modes",
-		Profile:   "ci-quick",
-		Tolerance: map[string]float64{"*": 0.02},
-		// The n=1 Cluster-only point is the slowest scenario: 2.70 virtual s.
-		Budgets: []Budget{
-			{Measure: "max_makespan_s", Kind: MaxBudget, Bound: 3.2},
+	registerSweep(sweepFamily{
+		Experiment: Experiment{
+			Name:      "sweep/fig8",
+			Title:     "Raw sweep: Fig. 8 strong-scaling grid through the sweep engine",
+			Version:   1,
+			Grid:      "4 node counts (1,2,4,8) x 3 execution modes",
+			Profile:   "ci-quick",
+			Tolerance: map[string]float64{"*": 0.02},
+			// The n=1 Cluster-only point is the slowest scenario: 2.70 virtual s.
+			Budgets: []Budget{
+				{Measure: "max_makespan_s", Kind: MaxBudget, Bound: 3.2},
+			},
 		},
-	}, func(o Options) ([]sweep.Scenario, string, error) {
-		cfg, profile := workload(o)
-		scen, err := bench.Fig8Grid(cfg, fig8NodeCounts()).Scenarios()
-		return scen, profile, err
+		scenarios: func(o Options) ([]sweep.Scenario, error) {
+			cfg, _ := workload(o)
+			return bench.Fig8Grid(cfg, fig8NodeCounts()).Scenarios()
+		},
+		meta:     workloadMeta,
+		measures: summaryOnly,
 	})
 }
 
 func registerSweepPaper() {
-	registerSweep(Experiment{
-		Name:      "sweep/paper",
-		Title:     "Raw sweep: full evaluation grid with the SCR checkpoint axis",
-		Version:   1,
-		Grid:      "4 node counts x 3 modes x 3 SCR levels (local, buddy, global)",
-		Profile:   "ci-quick",
-		Tolerance: map[string]float64{"*": 0.02},
-		// Measured at ci-quick: max makespan 2.70 virtual s, max checkpoint
-		// cost 0.67 ms (global level included).
-		Budgets: []Budget{
-			{Measure: "max_makespan_s", Kind: MaxBudget, Bound: 3.2},
-			{Measure: "max_checkpoint_s", Kind: MaxBudget, Bound: 0.01},
+	registerSweep(sweepFamily{
+		Experiment: Experiment{
+			Name:      "sweep/paper",
+			Title:     "Raw sweep: full evaluation grid with the SCR checkpoint axis",
+			Version:   1,
+			Grid:      "4 node counts x 3 modes x 3 SCR levels (local, buddy, global)",
+			Profile:   "ci-quick",
+			Tolerance: map[string]float64{"*": 0.02},
+			// Measured at ci-quick: max makespan 2.70 virtual s, max checkpoint
+			// cost 0.67 ms (global level included).
+			Budgets: []Budget{
+				{Measure: "max_makespan_s", Kind: MaxBudget, Bound: 3.2},
+				{Measure: "max_checkpoint_s", Kind: MaxBudget, Bound: 0.01},
+			},
 		},
-	}, func(o Options) ([]sweep.Scenario, string, error) {
-		cfg, profile := workload(o)
-		scen, err := bench.PaperGrid(cfg, true).Scenarios()
-		return scen, profile, err
+		scenarios: func(o Options) ([]sweep.Scenario, error) {
+			cfg, _ := workload(o)
+			return bench.PaperGrid(cfg, true).Scenarios()
+		},
+		meta:     workloadMeta,
+		measures: summaryOnly,
 	})
 }

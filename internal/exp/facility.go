@@ -53,98 +53,90 @@ func registerFacility10k() {
 }
 
 func registerFacilityFamily(family, title string, jobs int) {
-	e := Experiment{
-		Name:    family,
-		Title:   title,
-		Version: 1,
-		Grid:    fmt.Sprintf("{fcfs, backfill, malleable} x load {0.7, 1.4}, %d jobs per stream on a 64+32-node machine", jobs),
-		Profile: fmt.Sprintf("facility-%d", jobs),
-		Tolerance: map[string]float64{
-			"*": 0.02,
+	profile := fmt.Sprintf("facility-%d", jobs)
+	registerSweep(sweepFamily{
+		Experiment: Experiment{
+			Name:    family,
+			Title:   title,
+			Version: 1,
+			Grid:    fmt.Sprintf("{fcfs, backfill, malleable} x load {0.7, 1.4}, %d jobs per stream on a 64+32-node machine", jobs),
+			Profile: profile,
+			Tolerance: map[string]float64{
+				"*": 0.02,
+			},
+			// Measured at load 1.4 (overload), where policy differences
+			// dominate. These floors are the scheduling claims; blessing
+			// cannot relax them — a scheduler change that erodes what
+			// backfill or malleability buys fails diff until the bounds
+			// themselves are revised.
+			Budgets: []Budget{
+				// Conservative backfill cuts the mean wait ~1.5x under
+				// overload.
+				{Measure: "backfill_wait_gain", Kind: MinBudget, Bound: 1.2},
+				// ...and tail slowdown with it: p95 BSLD drops ~1.5x.
+				{Measure: "backfill_bsld_gain", Kind: MinBudget, Bound: 1.2},
+				// Malleable-shrink converts queue time into Cluster
+				// utilization (~1.6x over rigid backfill) by starting wide
+				// jobs narrow.
+				{Measure: "malleable_util_gain", Kind: MinBudget, Bound: 1.2},
+				// ...and it must actually shrink a meaningful share of the
+				// malleable jobs, not degenerate into plain backfill.
+				{Measure: "malleable_shrunk", Kind: MinBudget, Bound: 50},
+				// The overloaded Booster pool stays near-saturated under
+				// backfill.
+				{Measure: "backfill_util_booster", Kind: MinBudget, Bound: 0.9},
+				// Every stream must complete end to end on one kernel.
+				{Measure: "min_jobs", Kind: MinBudget, Bound: float64(jobs)},
+				// At light load the facility is healthy: mean bounded
+				// slowdown stays near 1 for every policy.
+				{Measure: "light_load_bsld_mean", Kind: MaxBudget, Bound: 2.5},
+				// Virtual-time ceiling across the grid: the family must stay
+				// a CI-speed miniature. The overloaded stream's span grows
+				// linearly with its length, so the ceiling scales with the
+				// job count.
+				{Measure: "max_makespan_s", Kind: MaxBudget, Bound: 300 * float64(jobs) / facilityJobs},
+			},
 		},
-		// Measured at load 1.4 (overload), where policy differences dominate.
-		// These floors are the scheduling claims; blessing cannot relax them —
-		// a scheduler change that erodes what backfill or malleability buys
-		// fails diff until the bounds themselves are revised.
-		Budgets: []Budget{
-			// Conservative backfill cuts the mean wait ~1.5x under overload.
-			{Measure: "backfill_wait_gain", Kind: MinBudget, Bound: 1.2},
-			// ...and tail slowdown with it: p95 BSLD drops ~1.5x.
-			{Measure: "backfill_bsld_gain", Kind: MinBudget, Bound: 1.2},
-			// Malleable-shrink converts queue time into Cluster utilization
-			// (~1.6x over rigid backfill) by starting wide jobs narrow.
-			{Measure: "malleable_util_gain", Kind: MinBudget, Bound: 1.2},
-			// ...and it must actually shrink a meaningful share of the
-			// malleable jobs, not degenerate into plain backfill.
-			{Measure: "malleable_shrunk", Kind: MinBudget, Bound: 50},
-			// The overloaded Booster pool stays near-saturated under backfill.
-			{Measure: "backfill_util_booster", Kind: MinBudget, Bound: 0.9},
-			// Every stream must complete end to end on one kernel.
-			{Measure: "min_jobs", Kind: MinBudget, Bound: float64(jobs)},
-			// At light load the facility is healthy: mean bounded slowdown
-			// stays near 1 for every policy.
-			{Measure: "light_load_bsld_mean", Kind: MaxBudget, Bound: 2.5},
-			// Virtual-time ceiling across the grid: the family must stay a
-			// CI-speed miniature. The overloaded stream's span grows linearly
-			// with its length, so the ceiling scales with the job count.
-			{Measure: "max_makespan_s", Kind: MaxBudget, Bound: 300 * float64(jobs) / facilityJobs},
-		},
-	}
-	e.Run = func(o Options) (Document, error) {
-		var scen []sweep.Scenario
-		for _, pol := range sched.FacilityPolicies() {
-			for _, load := range facilityLoads() {
-				p := sched.FacilityParams{Policy: pol, Jobs: jobs, Load: load, Seed: facilitySeed(load)}
-				scen = append(scen, sweep.FacilityPoint{FacilityParams: p}.Scenario(facilityPointName(family, pol, load)))
-			}
-		}
-		rs := sweep.Run(scen, sweepOpts(o))
-		if err := rs.FirstError(); err != nil {
-			return Document{}, fmt.Errorf("exp: %s: %w", family, err)
-		}
-		measures := sweepMeasures(rs)
-		at := func(pol sched.FacilityPolicy, load float64, metric string) float64 {
-			name := facilityPointName(family, pol, load)
-			for _, r := range rs.Results {
-				if r.Name == name {
-					return r.Metrics[metric]
+		scenarios: func(Options) ([]sweep.Scenario, error) {
+			var scen []sweep.Scenario
+			for _, pol := range sched.FacilityPolicies() {
+				for _, load := range facilityLoads() {
+					p := sched.FacilityParams{Policy: pol, Jobs: jobs, Load: load, Seed: facilitySeed(load)}
+					scen = append(scen, sweep.FacilityPoint{FacilityParams: p}.Scenario(facilityPointName(family, pol, load)))
 				}
 			}
-			return 0
-		}
-		// Derived claims, all at the overload point unless noted.
-		measures["backfill_wait_gain"] = at(sched.FacilityFCFS, 1.4, "wait_mean_s") / at(sched.FacilityBackfill, 1.4, "wait_mean_s")
-		measures["backfill_bsld_gain"] = at(sched.FacilityFCFS, 1.4, "bsld_p95") / at(sched.FacilityBackfill, 1.4, "bsld_p95")
-		measures["malleable_util_gain"] = at(sched.FacilityMalleable, 1.4, "util_cluster") / at(sched.FacilityBackfill, 1.4, "util_cluster")
-		measures["malleable_shrunk"] = at(sched.FacilityMalleable, 1.4, "shrunk")
-		measures["backfill_util_booster"] = at(sched.FacilityBackfill, 1.4, "util_booster")
-		minJobs := float64(jobs)
-		lightBSLD := 0.0
-		for _, pol := range sched.FacilityPolicies() {
-			for _, load := range facilityLoads() {
-				if j := at(pol, load, "jobs"); j < minJobs {
-					minJobs = j
+			return scen, nil
+		},
+		meta: func(Options) map[string]string {
+			return map[string]string{
+				"profile":  profile,
+				"workload": "seeded exponential arrivals over the xpic catalog job mix; same stream per load across policies",
+				"grid":     "see internal/exp/facility.go; derived measures bind the load=1.4 points",
+			}
+		},
+		measures: func(rs sweep.ResultSet) (map[string]float64, error) {
+			measures := sweepMeasures(rs)
+			l := pointLookup{rs: rs}
+			at := func(pol sched.FacilityPolicy, load float64, metric string) float64 {
+				return l.at(facilityPointName(family, pol, load), metric)
+			}
+			// Derived claims, all at the overload point unless noted.
+			measures["backfill_wait_gain"] = at(sched.FacilityFCFS, 1.4, "wait_mean_s") / at(sched.FacilityBackfill, 1.4, "wait_mean_s")
+			measures["backfill_bsld_gain"] = at(sched.FacilityFCFS, 1.4, "bsld_p95") / at(sched.FacilityBackfill, 1.4, "bsld_p95")
+			measures["malleable_util_gain"] = at(sched.FacilityMalleable, 1.4, "util_cluster") / at(sched.FacilityBackfill, 1.4, "util_cluster")
+			measures["malleable_shrunk"] = at(sched.FacilityMalleable, 1.4, "shrunk")
+			measures["backfill_util_booster"] = at(sched.FacilityBackfill, 1.4, "util_booster")
+			minJobs := float64(jobs)
+			lightBSLD := 0.0
+			for _, pol := range sched.FacilityPolicies() {
+				for _, load := range facilityLoads() {
+					minJobs = min(minJobs, at(pol, load, "jobs"))
 				}
+				lightBSLD = max(lightBSLD, at(pol, 0.7, "bsld_mean"))
 			}
-			if b := at(pol, 0.7, "bsld_mean"); b > lightBSLD {
-				lightBSLD = b
-			}
-		}
-		measures["min_jobs"] = minJobs
-		measures["light_load_bsld_mean"] = lightBSLD
-		meta := map[string]string{
-			"profile":  fmt.Sprintf("facility-%d", jobs),
-			"workload": "seeded exponential arrivals over the xpic catalog job mix; same stream per load across policies",
-			"grid":     "see internal/exp/facility.go; derived measures bind the load=1.4 points",
-		}
-		return e.document(meta, measures, rs)
-	}
-	e.Render = func(d Document) (string, error) {
-		rs, err := parsePayload[sweep.ResultSet](d)
-		if err != nil {
-			return "", err
-		}
-		return rs.RenderText(), nil
-	}
-	Register(e)
+			measures["min_jobs"] = minJobs
+			measures["light_load_bsld_mean"] = lightBSLD
+			return measures, l.err
+		},
+	})
 }

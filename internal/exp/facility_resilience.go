@@ -11,6 +11,7 @@ package exp
 
 import (
 	"fmt"
+	"math"
 
 	"clusterbooster/internal/machine"
 	"clusterbooster/internal/resilience"
@@ -67,9 +68,33 @@ func facilityResilienceCkpt() resilience.FacilityCheckpoint {
 	}
 }
 
+// facilityResiliencePoint is one grid point: a policy, an MTBF regime, and
+// the checkpoint leg (cold restart or rewind).
+type facilityResiliencePoint struct {
+	pol  sched.FacilityPolicy
+	reg  facilityRegime
+	ckpt bool
+}
+
+// facilityResiliencePoints lists the grid in scenario order. Clean regimes
+// have no checkpoint leg: there is nothing to rewind from.
+func facilityResiliencePoints() []facilityResiliencePoint {
+	var pts []facilityResiliencePoint
+	for _, pol := range sched.FacilityPolicies() {
+		for _, reg := range facilityResilienceRegimes() {
+			for _, ckpt := range []bool{false, true} {
+				if reg.faults == nil && ckpt {
+					continue
+				}
+				pts = append(pts, facilityResiliencePoint{pol, reg, ckpt})
+			}
+		}
+	}
+	return pts
+}
+
 // facilityResiliencePointName names one grid point, e.g.
-// "fig-facility-resilience/backfill/mtbf12/ckpt" (clean points have no
-// checkpoint leg — there is nothing to rewind from).
+// "fig-facility-resilience/backfill/mtbf12/ckpt".
 func facilityResiliencePointName(pol sched.FacilityPolicy, regime string, ckpt bool) string {
 	if regime == "clean" {
 		return fmt.Sprintf("fig-facility-resilience/%s/clean", pol)
@@ -82,176 +107,138 @@ func facilityResiliencePointName(pol sched.FacilityPolicy, regime string, ckpt b
 }
 
 func registerFigFacilityResilience() {
-	e := Experiment{
-		Name:    "fig-facility-resilience",
-		Title:   "Facility resilience: failing machine, scheduler degradation, checkpoint-restart requeue (DEEP-ER resiliency at facility scale)",
-		Version: 1,
-		Grid:    "{fcfs, backfill, malleable} x regime {clean, mtbf45, mtbf12} x {cold, ckpt}, 600 jobs at load 1.4 on a 64+32-node machine",
-		Profile: "facility-resilience-600",
-		Tolerance: map[string]float64{
-			"*": 0.02,
+	registerSweep(sweepFamily{
+		Experiment: Experiment{
+			Name:    "fig-facility-resilience",
+			Title:   "Facility resilience: failing machine, scheduler degradation, checkpoint-restart requeue (DEEP-ER resiliency at facility scale)",
+			Version: 1,
+			Grid:    "{fcfs, backfill, malleable} x regime {clean, mtbf45, mtbf12} x {cold, ckpt}, 600 jobs at load 1.4 on a 64+32-node machine",
+			Profile: "facility-resilience-600",
+			Tolerance: map[string]float64{
+				"*": 0.02,
+			},
+			Budgets: []Budget{
+				// The analytic cross-check: simulated per-pool availability
+				// must track the steady-state MTBF/(MTBF+MTTR) closed form at
+				// every faulty point. Measured error is ~0.8%; the bound is
+				// the 10% tolerance the Beowulf-performability comparison
+				// demands.
+				{Measure: "avail_err_max", Kind: MaxBudget, Bound: 0.10},
+				// Under saturation the work-conserving (malleable) scheduler
+				// delivers bottleneck-pool utilization within 10% of the
+				// analytic availability bound (measured ~3%): failures cost
+				// the facility what the availability model says they cost,
+				// no more.
+				{Measure: "malleable_sat_util_avail_err", Kind: MaxBudget, Bound: 0.10},
+				// Rigid backfill pays a fragmentation tax on top — bounded
+				// too, so drain/requeue regressions cannot hide behind it.
+				{Measure: "backfill_sat_util_avail_err", Kind: MaxBudget, Bound: 0.15},
+				// Checkpointing at least 1.3x's goodput at the harsh point
+				// (measured ~4.7x: cold restart loses whole wide jobs to
+				// retry exhaustion, checkpoints convert kills into bounded
+				// rework).
+				{Measure: "ckpt_goodput_gain_harsh", Kind: MinBudget, Bound: 1.3},
+				// ...and checkpointing never loses to cold restart anywhere
+				// on the grid.
+				{Measure: "ckpt_goodput_gain_min", Kind: MinBudget, Bound: 1.3},
+				// Cold restart under harsh MTBF abandons wide jobs after
+				// retry exhaustion; with checkpoints every job finishes.
+				{Measure: "cold_harsh_abandoned", Kind: MinBudget, Bound: 10},
+				{Measure: "ckpt_abandoned_max", Kind: MaxBudget, Bound: 0},
+				// Every point must account for the whole stream: completed +
+				// abandoned = submitted, i.e. no job is lost by the requeue
+				// path.
+				{Measure: "jobs_accounted_min", Kind: MinBudget, Bound: facilityResilienceJobs},
+				// The failure/repair processes must actually exercise the
+				// requeue machinery at every faulty point.
+				{Measure: "requeues_min", Kind: MinBudget, Bound: 50},
+				// Virtual-time ceiling: the family stays a CI-speed
+				// miniature.
+				{Measure: "max_makespan_s", Kind: MaxBudget, Bound: 600},
+			},
 		},
-		Budgets: []Budget{
-			// The analytic cross-check: simulated per-pool availability must
-			// track the steady-state MTBF/(MTBF+MTTR) closed form at every
-			// faulty point. Measured error is ~0.8%; the bound is the 10%
-			// tolerance the Beowulf-performability comparison demands.
-			{Measure: "avail_err_max", Kind: MaxBudget, Bound: 0.10},
-			// Under saturation the work-conserving (malleable) scheduler
-			// delivers bottleneck-pool utilization within 10% of the analytic
-			// availability bound (measured ~3%): failures cost the facility
-			// what the availability model says they cost, no more.
-			{Measure: "malleable_sat_util_avail_err", Kind: MaxBudget, Bound: 0.10},
-			// Rigid backfill pays a fragmentation tax on top — bounded too,
-			// so drain/requeue regressions cannot hide behind it.
-			{Measure: "backfill_sat_util_avail_err", Kind: MaxBudget, Bound: 0.15},
-			// Checkpointing at least 1.3x's goodput at the harsh point
-			// (measured ~4.7x: cold restart loses whole wide jobs to retry
-			// exhaustion, checkpoints convert kills into bounded rework).
-			{Measure: "ckpt_goodput_gain_harsh", Kind: MinBudget, Bound: 1.3},
-			// ...and checkpointing never loses to cold restart anywhere on
-			// the grid.
-			{Measure: "ckpt_goodput_gain_min", Kind: MinBudget, Bound: 1.3},
-			// Cold restart under harsh MTBF abandons wide jobs after retry
-			// exhaustion; with checkpoints every job finishes.
-			{Measure: "cold_harsh_abandoned", Kind: MinBudget, Bound: 10},
-			{Measure: "ckpt_abandoned_max", Kind: MaxBudget, Bound: 0},
-			// Every point must account for the whole stream: completed +
-			// abandoned = submitted, i.e. no job is lost by the requeue path.
-			{Measure: "jobs_accounted_min", Kind: MinBudget, Bound: facilityResilienceJobs},
-			// The failure/repair processes must actually exercise the requeue
-			// machinery at every faulty point.
-			{Measure: "requeues_min", Kind: MinBudget, Bound: 50},
-			// Virtual-time ceiling: the family stays a CI-speed miniature.
-			{Measure: "max_makespan_s", Kind: MaxBudget, Bound: 600},
+		scenarios: func(Options) ([]sweep.Scenario, error) {
+			var scen []sweep.Scenario
+			for _, pt := range facilityResiliencePoints() {
+				p := sched.FacilityParams{
+					Policy: pt.pol,
+					Jobs:   facilityResilienceJobs,
+					Load:   1.4,
+					Seed:   facilityResilienceSeed,
+				}
+				if pt.reg.faults != nil {
+					faults := *pt.reg.faults
+					if pt.ckpt {
+						faults.Rewind = facilityResilienceCkpt()
+					}
+					p.Faults = &faults
+				}
+				scen = append(scen, sweep.FacilityResiliencePoint{FacilityParams: p}.
+					Scenario(facilityResiliencePointName(pt.pol, pt.reg.name, pt.ckpt)))
+			}
+			return scen, nil
 		},
+		meta: func(Options) map[string]string {
+			return map[string]string{
+				"profile":  "facility-resilience-600",
+				"workload": "one seeded 600-job overload stream (load 1.4) replayed across policies, MTBF regimes and checkpoint legs",
+				"grid":     "see internal/exp/facility_resilience.go; analytic availability cross-check per pool, Beowulf-performability style",
+			}
+		},
+		measures: facilityResilienceMeasures,
+	})
+}
+
+// facilityResilienceMeasures derives the family's claims: the analytic
+// availability cross-check, what checkpointing buys, and stream accounting.
+func facilityResilienceMeasures(rs sweep.ResultSet) (map[string]float64, error) {
+	measures := sweepMeasures(rs)
+	l := pointLookup{rs: rs}
+	at := func(pol sched.FacilityPolicy, regime string, ckpt bool, metric string) float64 {
+		return l.at(facilityResiliencePointName(pol, regime, ckpt), metric)
 	}
-	e.Run = func(o Options) (Document, error) {
-		regimes := facilityResilienceRegimes()
-		var scen []sweep.Scenario
-		for _, pol := range sched.FacilityPolicies() {
-			for _, reg := range regimes {
-				for _, ckpt := range []bool{false, true} {
-					if reg.faults == nil && ckpt {
-						continue // nothing to checkpoint on a clean machine
-					}
-					p := sched.FacilityParams{
-						Policy: pol,
-						Jobs:   facilityResilienceJobs,
-						Load:   1.4,
-						Seed:   facilityResilienceSeed,
-					}
-					if reg.faults != nil {
-						faults := *reg.faults
-						if ckpt {
-							faults.Rewind = facilityResilienceCkpt()
-						}
-						p.Faults = &faults
-					}
-					scen = append(scen, sweep.FacilityResiliencePoint{FacilityParams: p}.
-						Scenario(facilityResiliencePointName(pol, reg.name, ckpt)))
-				}
-			}
-		}
-		rs := sweep.Run(scen, sweepOpts(o))
-		if err := rs.FirstError(); err != nil {
-			return Document{}, fmt.Errorf("exp: fig-facility-resilience: %w", err)
-		}
-		measures := sweepMeasures(rs)
-		at := func(pol sched.FacilityPolicy, regime string, ckpt bool, metric string) float64 {
-			name := facilityResiliencePointName(pol, regime, ckpt)
-			for _, r := range rs.Results {
-				if r.Name == name {
-					return r.Metrics[metric]
-				}
-			}
+	relErr := func(sim, analytic float64) float64 {
+		if analytic == 0 {
 			return 0
 		}
-		relErr := func(sim, analytic float64) float64 {
-			if analytic == 0 {
-				return 0
-			}
-			e := sim/analytic - 1
-			if e < 0 {
-				e = -e
-			}
-			return e
-		}
-		availErrMax := 0.0
-		satErr := map[sched.FacilityPolicy]float64{}
-		gainMin, gainHarsh := 0.0, 0.0
-		coldHarshAbandoned, ckptAbandonedMax := 0.0, 0.0
-		jobsAccountedMin := float64(facilityResilienceJobs)
-		requeuesMin := 0.0
-		first := true
-		for _, pol := range sched.FacilityPolicies() {
-			for _, reg := range regimes {
-				for _, ckpt := range []bool{false, true} {
-					if reg.faults == nil && ckpt {
-						continue
-					}
-					accounted := at(pol, reg.name, ckpt, "jobs") + at(pol, reg.name, ckpt, "abandoned")
-					if accounted < jobsAccountedMin {
-						jobsAccountedMin = accounted
-					}
-					if reg.faults == nil {
-						continue
-					}
-					aC := reg.faults.Cluster.Availability()
-					aB := reg.faults.Booster.Availability()
-					for _, pair := range [][2]float64{
-						{at(pol, reg.name, ckpt, "avail_cluster"), aC},
-						{at(pol, reg.name, ckpt, "avail_booster"), aB},
-					} {
-						if e := relErr(pair[0], pair[1]); e > availErrMax {
-							availErrMax = e
-						}
-					}
-					// Bottleneck (Booster) pool, saturated window: utilization
-					// vs the analytic availability bound.
-					if e := relErr(at(pol, reg.name, ckpt, "sat_util_booster"), aB); e > satErr[pol] {
-						satErr[pol] = e
-					}
-					if ckpt {
-						gain := at(pol, reg.name, true, "goodput") / at(pol, reg.name, false, "goodput")
-						if first || gain < gainMin {
-							gainMin = gain
-							first = false
-						}
-						if a := at(pol, reg.name, true, "abandoned"); a > ckptAbandonedMax {
-							ckptAbandonedMax = a
-						}
-					}
-					if r := at(pol, reg.name, ckpt, "requeues"); requeuesMin == 0 || r < requeuesMin {
-						requeuesMin = r
-					}
-				}
-			}
-		}
-		gainHarsh = at(sched.FacilityBackfill, "mtbf12", true, "goodput") / at(sched.FacilityBackfill, "mtbf12", false, "goodput")
-		coldHarshAbandoned = at(sched.FacilityBackfill, "mtbf12", false, "abandoned")
-		measures["avail_err_max"] = availErrMax
-		measures["malleable_sat_util_avail_err"] = satErr[sched.FacilityMalleable]
-		measures["backfill_sat_util_avail_err"] = satErr[sched.FacilityBackfill]
-		measures["ckpt_goodput_gain_harsh"] = gainHarsh
-		measures["ckpt_goodput_gain_min"] = gainMin
-		measures["cold_harsh_abandoned"] = coldHarshAbandoned
-		measures["ckpt_abandoned_max"] = ckptAbandonedMax
-		measures["jobs_accounted_min"] = jobsAccountedMin
-		measures["requeues_min"] = requeuesMin
-		meta := map[string]string{
-			"profile":  "facility-resilience-600",
-			"workload": "one seeded 600-job overload stream (load 1.4) replayed across policies, MTBF regimes and checkpoint legs",
-			"grid":     "see internal/exp/facility_resilience.go; analytic availability cross-check per pool, Beowulf-performability style",
-		}
-		return e.document(meta, measures, rs)
+		return math.Abs(sim/analytic - 1)
 	}
-	e.Render = func(d Document) (string, error) {
-		rs, err := parsePayload[sweep.ResultSet](d)
-		if err != nil {
-			return "", err
+	availErrMax := 0.0
+	satErr := map[sched.FacilityPolicy]float64{}
+	gainMin := math.Inf(1)
+	ckptAbandonedMax := 0.0
+	jobsAccountedMin := float64(facilityResilienceJobs)
+	requeuesMin := 0.0
+	for _, pt := range facilityResiliencePoints() {
+		pol, reg, ckpt := pt.pol, pt.reg, pt.ckpt
+		jobsAccountedMin = min(jobsAccountedMin, at(pol, reg.name, ckpt, "jobs")+at(pol, reg.name, ckpt, "abandoned"))
+		if reg.faults == nil {
+			continue
 		}
-		return rs.RenderText(), nil
+		aC := reg.faults.Cluster.Availability()
+		aB := reg.faults.Booster.Availability()
+		availErrMax = max(availErrMax,
+			relErr(at(pol, reg.name, ckpt, "avail_cluster"), aC),
+			relErr(at(pol, reg.name, ckpt, "avail_booster"), aB))
+		// Bottleneck (Booster) pool, saturated window: utilization vs the
+		// analytic availability bound.
+		satErr[pol] = max(satErr[pol], relErr(at(pol, reg.name, ckpt, "sat_util_booster"), aB))
+		if ckpt {
+			gainMin = min(gainMin, at(pol, reg.name, true, "goodput")/at(pol, reg.name, false, "goodput"))
+			ckptAbandonedMax = max(ckptAbandonedMax, at(pol, reg.name, true, "abandoned"))
+		}
+		if r := at(pol, reg.name, ckpt, "requeues"); requeuesMin == 0 || r < requeuesMin {
+			requeuesMin = r
+		}
 	}
-	Register(e)
+	measures["avail_err_max"] = availErrMax
+	measures["malleable_sat_util_avail_err"] = satErr[sched.FacilityMalleable]
+	measures["backfill_sat_util_avail_err"] = satErr[sched.FacilityBackfill]
+	measures["ckpt_goodput_gain_harsh"] = at(sched.FacilityBackfill, "mtbf12", true, "goodput") / at(sched.FacilityBackfill, "mtbf12", false, "goodput")
+	measures["ckpt_goodput_gain_min"] = gainMin
+	measures["cold_harsh_abandoned"] = at(sched.FacilityBackfill, "mtbf12", false, "abandoned")
+	measures["ckpt_abandoned_max"] = ckptAbandonedMax
+	measures["jobs_accounted_min"] = jobsAccountedMin
+	measures["requeues_min"] = requeuesMin
+	return measures, l.err
 }

@@ -27,82 +27,72 @@ func ioPointName(s ioexp.Strategy, nodes int, size int64) string {
 }
 
 func registerFigIO() {
-	e := Experiment{
-		Name:    "fig-io",
-		Title:   "I/O strategies: SIONlib, BeeOND cache domains, buddy, NAM on the event kernel (§III-C)",
-		Version: 1,
-		Grid:    "6 strategies x {4, 16} nodes x {1, 8} MiB per rank, one rank per node",
-		Profile: "ci-io",
-		Tolerance: map[string]float64{
-			"*": 0.02,
+	registerSweep(sweepFamily{
+		Experiment: Experiment{
+			Name:    "fig-io",
+			Title:   "I/O strategies: SIONlib, BeeOND cache domains, buddy, NAM on the event kernel (§III-C)",
+			Version: 1,
+			Grid:    "6 strategies x {4, 16} nodes x {1, 8} MiB per rank, one rank per node",
+			Profile: "ci-io",
+			Tolerance: map[string]float64{
+				"*": 0.02,
+			},
+			// Measured at the largest grid point (16 nodes, 8 MiB per rank).
+			// These floors are the stack's architectural claims; blessing
+			// cannot relax them — a model change that erodes what async
+			// staging or task-local concentration buys fails diff until the
+			// bounds themselves are revised.
+			Budgets: []Budget{
+				// Async cache writes return ~14x sooner than write-through.
+				{Measure: "async_return_gain", Kind: MinBudget, Bound: 8.0},
+				// ...but their durability trails the return: the drain waits
+				// on the background flush to the global FS.
+				{Measure: "async_stage_span", Kind: MinBudget, Bound: 5.0},
+				// Task-local NVMe containers seal ~11x before the shared
+				// global container (the fan-in bottleneck SIONlib mitigates
+				// but cannot erase).
+				{Measure: "local_container_gain", Kind: MinBudget, Bound: 5.0},
+				// The NAM absorbs the burst ~70x faster than the global
+				// container.
+				{Measure: "nam_gain", Kind: MinBudget, Bound: 20.0},
+				// The redundant buddy copy costs real time after the app
+				// resumed.
+				{Measure: "buddy_redundancy_span", Kind: MinBudget, Bound: 1.5},
+				// Virtual-time ceiling across the whole grid: the family must
+				// stay a CI-speed miniature.
+				{Measure: "max_makespan_s", Kind: MaxBudget, Bound: 0.25},
+			},
 		},
-		// Measured at the largest grid point (16 nodes, 8 MiB per rank).
-		// These floors are the stack's architectural claims; blessing cannot
-		// relax them — a model change that erodes what async staging or
-		// task-local concentration buys fails diff until the bounds
-		// themselves are revised.
-		Budgets: []Budget{
-			// Async cache writes return ~14x sooner than write-through.
-			{Measure: "async_return_gain", Kind: MinBudget, Bound: 8.0},
-			// ...but their durability trails the return: the drain waits on
-			// the background flush to the global FS.
-			{Measure: "async_stage_span", Kind: MinBudget, Bound: 5.0},
-			// Task-local NVMe containers seal ~11x before the shared global
-			// container (the fan-in bottleneck SIONlib mitigates but cannot
-			// erase).
-			{Measure: "local_container_gain", Kind: MinBudget, Bound: 5.0},
-			// The NAM absorbs the burst ~70x faster than the global container.
-			{Measure: "nam_gain", Kind: MinBudget, Bound: 20.0},
-			// The redundant buddy copy costs real time after the app resumed.
-			{Measure: "buddy_redundancy_span", Kind: MinBudget, Bound: 1.5},
-			// Virtual-time ceiling across the whole grid: the family must
-			// stay a CI-speed miniature.
-			{Measure: "max_makespan_s", Kind: MaxBudget, Bound: 0.25},
-		},
-	}
-	e.Run = func(o Options) (Document, error) {
-		var scen []sweep.Scenario
-		for _, s := range ioexp.Strategies() {
-			for _, nodes := range ioNodeCounts() {
-				for _, size := range ioSizes() {
-					p := ioexp.Params{Strategy: s, Nodes: nodes, Size: size}
-					scen = append(scen, sweep.IOPoint{Params: p}.Scenario(ioPointName(s, nodes, size)))
+		scenarios: func(Options) ([]sweep.Scenario, error) {
+			var scen []sweep.Scenario
+			for _, s := range ioexp.Strategies() {
+				for _, nodes := range ioNodeCounts() {
+					for _, size := range ioSizes() {
+						p := ioexp.Params{Strategy: s, Nodes: nodes, Size: size}
+						scen = append(scen, sweep.IOPoint{Params: p}.Scenario(ioPointName(s, nodes, size)))
+					}
 				}
 			}
-		}
-		rs := sweep.Run(scen, sweepOpts(o))
-		if err := rs.FirstError(); err != nil {
-			return Document{}, fmt.Errorf("exp: fig-io: %w", err)
-		}
-		measures := sweepMeasures(rs)
-		// Derived claims, all at the largest grid point.
-		at := func(s ioexp.Strategy, metric string) float64 {
-			name := ioPointName(s, 16, 8<<20)
-			for _, r := range rs.Results {
-				if r.Name == name {
-					return r.Metrics[metric]
-				}
+			return scen, nil
+		},
+		meta: func(Options) map[string]string {
+			return map[string]string{
+				"profile":  "ci-io",
+				"workload": "one rank per node; payload bytes per rank on the size axis",
+				"grid":     "see internal/exp/io.go; derived measures bind the n=16, 8 MiB point",
 			}
-			return 0
-		}
-		measures["async_return_gain"] = at(ioexp.CacheSync, "return_s") / at(ioexp.CacheAsync, "return_s")
-		measures["async_stage_span"] = at(ioexp.CacheAsync, "durable_s") / at(ioexp.CacheAsync, "return_s")
-		measures["local_container_gain"] = at(ioexp.SIONGlobal, "durable_s") / at(ioexp.SIONLocal, "durable_s")
-		measures["nam_gain"] = at(ioexp.SIONGlobal, "durable_s") / at(ioexp.NAM, "durable_s")
-		measures["buddy_redundancy_span"] = at(ioexp.Buddy, "durable_s") / at(ioexp.Buddy, "return_s")
-		meta := map[string]string{
-			"profile":  "ci-io",
-			"workload": "one rank per node; payload bytes per rank on the size axis",
-			"grid":     "see internal/exp/io.go; derived measures bind the n=16, 8 MiB point",
-		}
-		return e.document(meta, measures, rs)
-	}
-	e.Render = func(d Document) (string, error) {
-		rs, err := parsePayload[sweep.ResultSet](d)
-		if err != nil {
-			return "", err
-		}
-		return rs.RenderText(), nil
-	}
-	Register(e)
+		},
+		measures: func(rs sweep.ResultSet) (map[string]float64, error) {
+			measures := sweepMeasures(rs)
+			// Derived claims, all at the largest grid point.
+			l := pointLookup{rs: rs}
+			at := func(s ioexp.Strategy, metric string) float64 { return l.at(ioPointName(s, 16, 8<<20), metric) }
+			measures["async_return_gain"] = at(ioexp.CacheSync, "return_s") / at(ioexp.CacheAsync, "return_s")
+			measures["async_stage_span"] = at(ioexp.CacheAsync, "durable_s") / at(ioexp.CacheAsync, "return_s")
+			measures["local_container_gain"] = at(ioexp.SIONGlobal, "durable_s") / at(ioexp.SIONLocal, "durable_s")
+			measures["nam_gain"] = at(ioexp.SIONGlobal, "durable_s") / at(ioexp.NAM, "durable_s")
+			measures["buddy_redundancy_span"] = at(ioexp.Buddy, "durable_s") / at(ioexp.Buddy, "return_s")
+			return measures, l.err
+		},
+	})
 }

@@ -75,82 +75,77 @@ func (r resilienceRow) params(failing bool) resilience.Params {
 
 func registerFigResilience() {
 	rows := resilienceRows()
-	e := Experiment{
-		Name:    "fig-resilience",
-		Title:   "Resilience: checkpoint level vs node failure, live on the event kernel (§III-D)",
-		Version: 1,
-		Grid:    "3 modes x surviving-level cadence (local/buddy/global) x {failure-free, 1 seeded failure}, 2 ranks per solver",
-		Profile: "ci-resilience",
-		Tolerance: map[string]float64{
-			"*": 0.02,
+	registerSweep(sweepFamily{
+		Experiment: Experiment{
+			Name:    "fig-resilience",
+			Title:   "Resilience: checkpoint level vs node failure, live on the event kernel (§III-D)",
+			Version: 1,
+			Grid:    "3 modes x surviving-level cadence (local/buddy/global) x {failure-free, 1 seeded failure}, 2 ranks per solver",
+			Profile: "ci-resilience",
+			Tolerance: map[string]float64{
+				"*": 0.02,
+			},
+			// Measured floors at ci-resilience (retention = failure-free
+			// makespan over post-failure makespan): redundant levels rewind
+			// warm and keep most of the lost ground, local-only restarts
+			// cold and pays the full prefix again. Blessing cannot relax
+			// these — a model change that erodes what buddy checkpointing
+			// buys fails diff until the bounds themselves are revised.
+			Budgets: []Budget{
+				{Measure: "retention_cluster_buddy", Kind: MinBudget, Bound: 0.65},
+				{Measure: "retention_booster_buddy", Kind: MinBudget, Bound: 0.80},
+				{Measure: "retention_booster_global", Kind: MinBudget, Bound: 0.80},
+				{Measure: "retention_split_buddy", Kind: MinBudget, Bound: 0.45},
+				{Measure: "buddy_gain_cluster", Kind: MinBudget, Bound: 1.15},
+				{Measure: "buddy_gain_booster", Kind: MinBudget, Bound: 1.25},
+				{Measure: "buddy_gain_split", Kind: MinBudget, Bound: 1.01},
+				// Every failing point must actually see its failure fire, and
+				// every redundant-level point must rewind warm (a cold
+				// restart here means level selection regressed).
+				{Measure: "min_failures_injected", Kind: MinBudget, Bound: 1},
+				{Measure: "min_warm_rewind_step", Kind: MinBudget, Bound: 4},
+			},
 		},
-		// Measured floors at ci-resilience (retention = failure-free makespan
-		// over post-failure makespan): redundant levels rewind warm and keep
-		// most of the lost ground, local-only restarts cold and pays the full
-		// prefix again. Blessing cannot relax these — a model change that
-		// erodes what buddy checkpointing buys fails diff until the bounds
-		// themselves are revised.
-		Budgets: []Budget{
-			{Measure: "retention_cluster_buddy", Kind: MinBudget, Bound: 0.65},
-			{Measure: "retention_booster_buddy", Kind: MinBudget, Bound: 0.80},
-			{Measure: "retention_booster_global", Kind: MinBudget, Bound: 0.80},
-			{Measure: "retention_split_buddy", Kind: MinBudget, Bound: 0.45},
-			{Measure: "buddy_gain_cluster", Kind: MinBudget, Bound: 1.15},
-			{Measure: "buddy_gain_booster", Kind: MinBudget, Bound: 1.25},
-			{Measure: "buddy_gain_split", Kind: MinBudget, Bound: 1.01},
-			// Every failing point must actually see its failure fire, and
-			// every redundant-level point must rewind warm (a cold restart
-			// here means level selection regressed).
-			{Measure: "min_failures_injected", Kind: MinBudget, Bound: 1},
-			{Measure: "min_warm_rewind_step", Kind: MinBudget, Bound: 4},
-		},
-	}
-	e.Run = func(o Options) (Document, error) {
-		var scen []sweep.Scenario
-		for _, r := range rows {
-			for _, failing := range []bool{false, true} {
-				variant := "mtbf=0"
-				if failing {
-					variant = fmt.Sprintf("mtbf=%v", r.mtbf)
-				}
-				name := fmt.Sprintf("fig-resilience/%s/%s/%s", r.mode, r.level, variant)
-				scen = append(scen, sweep.ResiliencePoint{Params: r.params(failing)}.Scenario(name))
-			}
-		}
-		rs := sweep.Run(scen, sweepOpts(o))
-		if err := rs.FirstError(); err != nil {
-			return Document{}, fmt.Errorf("exp: fig-resilience: %w", err)
-		}
-		measures := sweepMeasures(rs)
-		minFailures, minRewind := -1.0, -1.0
-		for i, r := range rows {
-			ff, fail := rs.Results[2*i].Metrics, rs.Results[2*i+1].Metrics
-			measures["retention_"+r.key] = ff["makespan_s"] / fail["makespan_s"]
-			if f := fail["failures"]; minFailures < 0 || f < minFailures {
-				minFailures = f
-			}
-			if r.level != "local" {
-				if w := fail["rewind_step"]; minRewind < 0 || w < minRewind {
-					minRewind = w
+		scenarios: func(Options) ([]sweep.Scenario, error) {
+			var scen []sweep.Scenario
+			for _, r := range rows {
+				for _, failing := range []bool{false, true} {
+					variant := "mtbf=0"
+					if failing {
+						variant = fmt.Sprintf("mtbf=%v", r.mtbf)
+					}
+					name := fmt.Sprintf("fig-resilience/%s/%s/%s", r.mode, r.level, variant)
+					scen = append(scen, sweep.ResiliencePoint{Params: r.params(failing)}.Scenario(name))
 				}
 			}
-		}
-		measures["min_failures_injected"] = minFailures
-		measures["min_warm_rewind_step"] = minRewind
-		for _, mode := range []string{"cluster", "booster", "split"} {
-			measures["buddy_gain_"+mode] = measures["retention_"+mode+"_buddy"] / measures["retention_"+mode+"_local"]
-		}
-		cfg := ResilienceProfile()
-		meta := profileMeta(cfg, "ci-resilience")
-		meta["grid"] = "rows expand [failure-free, failing]; see internal/exp/resilience.go for pinned seeds"
-		return e.document(meta, measures, rs)
-	}
-	e.Render = func(d Document) (string, error) {
-		rs, err := parsePayload[sweep.ResultSet](d)
-		if err != nil {
-			return "", err
-		}
-		return rs.RenderText(), nil
-	}
-	Register(e)
+			return scen, nil
+		},
+		meta: func(Options) map[string]string {
+			meta := profileMeta(ResilienceProfile(), "ci-resilience")
+			meta["grid"] = "rows expand [failure-free, failing]; see internal/exp/resilience.go for pinned seeds"
+			return meta
+		},
+		measures: func(rs sweep.ResultSet) (map[string]float64, error) {
+			measures := sweepMeasures(rs)
+			minFailures, minRewind := -1.0, -1.0
+			for i, r := range rows {
+				ff, fail := rs.Results[2*i].Metrics, rs.Results[2*i+1].Metrics
+				measures["retention_"+r.key] = ff["makespan_s"] / fail["makespan_s"]
+				if f := fail["failures"]; minFailures < 0 || f < minFailures {
+					minFailures = f
+				}
+				if r.level != "local" {
+					if w := fail["rewind_step"]; minRewind < 0 || w < minRewind {
+						minRewind = w
+					}
+				}
+			}
+			measures["min_failures_injected"] = minFailures
+			measures["min_warm_rewind_step"] = minRewind
+			for _, mode := range []string{"cluster", "booster", "split"} {
+				measures["buddy_gain_"+mode] = measures["retention_"+mode+"_buddy"] / measures["retention_"+mode+"_local"]
+			}
+			return measures, nil
+		},
+	})
 }

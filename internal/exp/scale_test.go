@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"slices"
 	"testing"
 
 	"clusterbooster/internal/core"
@@ -49,5 +50,25 @@ func TestDeepScale65536(t *testing.T) {
 	}
 	if serial.Makespan <= 0 || serial.RanksPerSolver != n {
 		t.Errorf("implausible deep-scale report: %+v", serial)
+	}
+}
+
+// TestScaleFamilyInvariants checks the fig8-scale table without running
+// it: each row's profile reaches the 2-rows-per-rank floor at its largest
+// count, and each row starts at the previous row's last count — the chained
+// efficiency reference the rows' comments promise.
+func TestScaleFamilyInvariants(t *testing.T) {
+	rows := scaleRows()
+	for i, r := range rows {
+		last := slices.Max(r.counts)
+		if ny := r.profile().NY; ny != 2*last {
+			t.Errorf("%s: profile NY = %d, want 2*max(counts) = %d", r.name, ny, 2*last)
+		}
+		if i > 0 {
+			prev := rows[i-1]
+			if first, want := r.counts[0], prev.counts[len(prev.counts)-1]; first != want {
+				t.Errorf("%s: first count %d, want %s's last count %d", r.name, first, prev.name, want)
+			}
+		}
 	}
 }

@@ -83,9 +83,14 @@ type FacilityOutcome struct {
 	PeakQueue  int
 	Events     uint64
 
-	// Fault-mode results (zero on failure-free runs). Jobs counts completed
-	// jobs only; Abandoned jobs exhausted their retry budget and never
-	// finished.
+	// Fault-mode results. The counters and LostNodeSec are zero on
+	// failure-free runs; the health fields (availabilities, Goodput,
+	// Horizon, the saturated window) report a failure-free run as its own
+	// baseline: availabilities exactly 1, the horizon the makespan, the
+	// saturated window the whole run, and goodput the capacity-weighted
+	// utilization (granted == requested node-time there, modulo malleable
+	// stretch, which conserves work). Jobs counts completed jobs only;
+	// Abandoned jobs exhausted their retry budget and never finished.
 	Failures  int
 	Repairs   int
 	Requeues  int
@@ -270,6 +275,15 @@ func RunFacility(p FacilityParams) (FacilityOutcome, error) {
 		}
 		if cap := float64(p.ClusterNodes+p.BoosterNodes) * faults.horizon.Seconds(); cap > 0 {
 			out.Goodput = useful / cap
+		}
+	} else {
+		out.Horizon = out.Makespan
+		out.AvailCluster, out.AvailBooster = 1, 1
+		out.SatUtilCluster, out.SatUtilBooster = out.UtilCluster, out.UtilBooster
+		out.SatAvailCluster, out.SatAvailBooster = 1, 1
+		cn, bn := float64(p.ClusterNodes), float64(p.BoosterNodes)
+		if total := cn + bn; total > 0 {
+			out.Goodput = (out.UtilCluster*cn + out.UtilBooster*bn) / total
 		}
 	}
 	slow := make([]float64, 0, len(sched.Placed))

@@ -189,6 +189,56 @@ func TestFacilityPolicies(t *testing.T) {
 	}
 }
 
+// TestFacilityFailureFreeHealth: a failure-free run reports its own health
+// baseline — availability 1, horizon = makespan, saturated window = whole
+// run, goodput weighted by the machine it actually ran on — at the default
+// machine size and at a non-default one whose pools are not 2:1 (so the
+// default weights would give a different goodput). A disabled fault config
+// is the same failure-free run.
+func TestFacilityFailureFreeHealth(t *testing.T) {
+	for _, tc := range []struct {
+		name           string
+		cluster, boost int // 0 = RunFacility's default
+		wantC, wantB   float64
+	}{
+		{"default", 0, 0, 64, 32},
+		{"64+96", 64, 96, 64, 96},
+	} {
+		p := FacilityParams{Policy: FacilityBackfill, Jobs: 200, Load: 1.2, Seed: 7,
+			ClusterNodes: tc.cluster, BoosterNodes: tc.boost}
+		out, err := RunFacility(p)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if out.AvailCluster != 1 || out.AvailBooster != 1 || out.SatAvailCluster != 1 || out.SatAvailBooster != 1 {
+			t.Errorf("%s: availability %+v, want exactly 1 everywhere", tc.name, out)
+		}
+		if out.Horizon != out.Makespan || out.Horizon <= 0 {
+			t.Errorf("%s: horizon %v, want the makespan %v", tc.name, out.Horizon, out.Makespan)
+		}
+		if out.SatUtilCluster != out.UtilCluster || out.SatUtilBooster != out.UtilBooster {
+			t.Errorf("%s: saturated utilization %v/%v, want the run's %v/%v", tc.name,
+				out.SatUtilCluster, out.SatUtilBooster, out.UtilCluster, out.UtilBooster)
+		}
+		want := (out.UtilCluster*tc.wantC + out.UtilBooster*tc.wantB) / (tc.wantC + tc.wantB)
+		if out.Goodput != want || want <= 0 {
+			t.Errorf("%s: goodput %v, want %v", tc.name, out.Goodput, want)
+		}
+		if tc.cluster != 0 {
+			if def := (out.UtilCluster*64 + out.UtilBooster*32) / 96; def == out.Goodput {
+				t.Errorf("%s: goodput %v does not depend on the machine size", tc.name, out.Goodput)
+			}
+		}
+		if out.Failures != 0 || out.Requeues != 0 || out.LostNodeSec != 0 {
+			t.Errorf("%s: fault counters on a failure-free run: %+v", tc.name, out)
+		}
+		p.Faults = &FacilityFaults{}
+		if off, err := RunFacility(p); err != nil || !reflect.DeepEqual(off, out) {
+			t.Errorf("%s: disabled faults changed the run: %v\n%+v\n%+v", tc.name, err, off, out)
+		}
+	}
+}
+
 // TestFacilityRejectsBadParams covers the validation surface.
 func TestFacilityRejectsBadParams(t *testing.T) {
 	for _, p := range []FacilityParams{

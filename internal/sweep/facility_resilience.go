@@ -18,36 +18,13 @@ type FacilityResiliencePoint struct {
 
 // Scenario wraps the point as a self-contained Scenario reporting facility
 // health under failures. Points with nil (or disabled) Faults are the
-// failure-free baselines of their grid; their availability is exactly 1.
+// failure-free baselines of their grid; sched reports their availability as
+// exactly 1 and their goodput from the machine size it ran.
 func (p FacilityResiliencePoint) Scenario(name string) Scenario {
 	return Scenario{Name: name, Run: func() (Outcome, error) {
 		out, err := sched.RunFacility(p.FacilityParams)
 		if err != nil {
 			return Outcome{}, err
-		}
-		horizon := out.Horizon
-		availC, availB, goodput := out.AvailCluster, out.AvailBooster, out.Goodput
-		satUtilC, satUtilB := out.SatUtilCluster, out.SatUtilBooster
-		satAvailC, satAvailB := out.SatAvailCluster, out.SatAvailBooster
-		if p.Faults == nil || !p.Faults.Enabled() {
-			// Failure-free baseline: RunFacility reports no fault-mode
-			// aggregates, so derive the comparable span and goodput from the
-			// schedule itself (granted == requested node-time here, modulo
-			// malleable stretch, which conserves work).
-			horizon = out.Makespan
-			availC, availB = 1, 1
-			satUtilC, satUtilB = out.UtilCluster, out.UtilBooster
-			satAvailC, satAvailB = 1, 1
-			cn, bn := p.ClusterNodes, p.BoosterNodes
-			if cn == 0 {
-				cn = 64
-			}
-			if bn == 0 {
-				bn = 32
-			}
-			if total := float64(cn + bn); total > 0 {
-				goodput = (out.UtilCluster*float64(cn) + out.UtilBooster*float64(bn)) / total
-			}
 		}
 		return Outcome{Metrics: Metrics{
 			"jobs":          float64(out.Jobs),
@@ -57,19 +34,19 @@ func (p FacilityResiliencePoint) Scenario(name string) Scenario {
 			"requeues":      float64(out.Requeues),
 			"util_cluster":  out.UtilCluster,
 			"util_booster":  out.UtilBooster,
-			"avail_cluster": availC,
-			"avail_booster": availB,
-			"goodput":       goodput,
+			"avail_cluster": out.AvailCluster,
+			"avail_booster": out.AvailBooster,
+			"goodput":       out.Goodput,
 			"lost_node_s":   out.LostNodeSec,
 			"makespan_s":    out.Makespan.Seconds(),
-			"horizon_s":     horizon.Seconds(),
+			"horizon_s":     out.Horizon.Seconds(),
 			"wait_mean_s":   out.MeanWait.Seconds(),
 			// Saturated-window (up to the last arrival) utilization and
 			// availability: what the steady-state cross-check compares.
-			"sat_util_cluster":  satUtilC,
-			"sat_util_booster":  satUtilB,
-			"sat_avail_cluster": satAvailC,
-			"sat_avail_booster": satAvailB,
+			"sat_util_cluster":  out.SatUtilCluster,
+			"sat_util_booster":  out.SatUtilBooster,
+			"sat_avail_cluster": out.SatAvailCluster,
+			"sat_avail_booster": out.SatAvailBooster,
 		}}, nil
 	}}
 }

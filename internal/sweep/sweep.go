@@ -92,6 +92,23 @@ func (rs ResultSet) FirstError() error {
 	return nil
 }
 
+// Metric looks one metric of one named scenario up. A scenario or metric the
+// sweep does not hold is an error, so a derived measure can never be built
+// from a silent zero.
+func (rs ResultSet) Metric(scenario, metric string) (float64, error) {
+	for _, r := range rs.Results {
+		if r.Name != scenario {
+			continue
+		}
+		v, ok := r.Metrics[metric]
+		if !ok {
+			return 0, fmt.Errorf("sweep: scenario %q has no metric %q", scenario, metric)
+		}
+		return v, nil
+	}
+	return 0, fmt.Errorf("sweep: no scenario %q", scenario)
+}
+
 // EventKind tags an Event.
 type EventKind int
 

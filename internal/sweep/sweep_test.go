@@ -266,3 +266,24 @@ func TestRenderText(t *testing.T) {
 		t.Errorf("render incomplete:\n%s", txt)
 	}
 }
+
+// TestResultSetMetric covers the point lookup: a hit returns the metric, a
+// missing scenario or metric is an error rather than a zero.
+func TestResultSetMetric(t *testing.T) {
+	rs := ResultSet{Results: []Result{
+		{Name: "a", Metrics: Metrics{"makespan_s": 1.5}},
+		{Name: "b", Metrics: Metrics{"makespan_s": 2.5, "jobs": 0}},
+	}}
+	if v, err := rs.Metric("b", "makespan_s"); err != nil || v != 2.5 {
+		t.Errorf(`Metric("b", "makespan_s") = %v, %v; want 2.5, nil`, v, err)
+	}
+	if v, err := rs.Metric("b", "jobs"); err != nil || v != 0 {
+		t.Errorf(`Metric("b", "jobs") = %v, %v; want a present zero`, v, err)
+	}
+	if _, err := rs.Metric("c", "makespan_s"); err == nil || !strings.Contains(err.Error(), `"c"`) {
+		t.Errorf(`Metric("c", ...) error = %v; want a missing-scenario error`, err)
+	}
+	if _, err := rs.Metric("a", "jobs"); err == nil || !strings.Contains(err.Error(), `"jobs"`) {
+		t.Errorf(`Metric("a", "jobs") error = %v; want a missing-metric error`, err)
+	}
+}
