@@ -1,16 +1,20 @@
-// Command cbctl drives the experiment registry: it lists the catalog, runs
-// experiments to canonical JSON, diffs fresh runs against the checked-in
-// golden baselines, and re-records (blesses) baselines after an intentional
-// model change.
+// Command cbctl is the simulator's one command. It drives the experiment
+// registry: it lists the catalog, runs experiments to canonical JSON or
+// paper-style text, diffs fresh runs against the checked-in golden
+// baselines, and re-records (blesses) baselines after an intentional model
+// change. Two exploratory verbs, resilience and facility, run single
+// scenarios with every model parameter on the command line.
 //
 // Usage:
 //
 //	cbctl list [-v]
-//	cbctl run   [-workers N] [-kworkers K] [-store DIR] [-v] [-text] [-ndjson] [-stats] [-cpuprofile F] [-memprofile F] -all | <experiment> ...
+//	cbctl run   [-workers N] [-kworkers K] [-store DIR] [-v] [-text] [-ndjson] [-stats] [-steps N] [-scale K] [-cpuprofile F] [-memprofile F] -all | <experiment> ...
 //	cbctl diff  [-workers N] [-kworkers K] [-store DIR] [-v] [-stats] [-tolerance] [-C dir] -all | <experiment> ...
 //	cbctl bless [-workers N] [-kworkers K] [-store DIR] [-v] [-stats] [-C dir] -all | <experiment> ...
 //	cbctl bench [-in FILE] [-check] [-update] [-max-regress F] [-C dir]
 //	cbctl serve [-addr HOST:PORT] [-workers N] [-kworkers K] [-store DIR] [-v]
+//	cbctl resilience [-mode M] [-nodes N] [-level L] [-ckpt N] [-mtbf S] [-failures N] [-seed S] [-restart-overhead S] [-steps N] [-scale K] [-json] [-kworkers K] [-stats] [-cpuprofile F] [-memprofile F]
+//	cbctl facility [-policy P] [-jobs N] [-load F] [-mtbf S] [-mttr S] [-retries N] [-ckpt-every S] [-seed S] [-json] [-kworkers K] [-stats] [-cpuprofile F] [-memprofile F]
 //
 // run prints one canonical JSON document per selected experiment; with
 // several experiments the output is a concatenated stream of documents (use
@@ -19,7 +23,9 @@
 // serve stream, which the CI serve smoke job relies on. -stats adds the
 // execution-kernel counters, the scenario-cache hit/miss counters and (with
 // -store) the persistent-store counters on stderr; -cpuprofile/-memprofile
-// capture pprof profiles of the runs for perf work. -kworkers K runs each
+// capture pprof profiles of the runs for perf work. -steps N / -scale K
+// override the xPic workload, starting from the ci-quick profile (golden
+// runs never take them, so diff and bless reject them). -kworkers K runs each
 // eligible scenario's event kernel on K cores with the conservative
 // synchronous-window scheme — results are bit-identical to serial for every
 // K, so run, diff and bless all accept it.
@@ -36,6 +42,11 @@
 // overlapping grids dedupe in-flight compute through the scenario cache's
 // singleflight entries, and /statsz exposes the runtime counters. See
 // serve.go for the endpoints.
+//
+// resilience and facility are the exploratory single-point runs no registry
+// experiment produces (see explore.go): one checkpoint/restart scenario
+// under live node failures, and one arrival stream through the batch queue
+// on a failing machine.
 //
 // bench maintains BENCH_kernel.json, the checked-in machine-readable
 // baseline of the kernel benchmarks: it parses `go test -bench -benchmem`
@@ -75,6 +86,7 @@ import (
 	"clusterbooster/internal/runstore"
 	"clusterbooster/internal/sched"
 	"clusterbooster/internal/sweep"
+	"clusterbooster/internal/xpic"
 )
 
 func main() {
@@ -104,6 +116,10 @@ func dispatch(args []string, out, errw io.Writer) int {
 		return runBench(args, out, errw)
 	case "serve":
 		return runServe(args, out, errw)
+	case "resilience":
+		return runResilience(args, out, errw)
+	case "facility":
+		return runFacility(args, out, errw)
 	case "help", "-h", "-help", "--help":
 		usage(errw)
 		return 0
@@ -117,17 +133,27 @@ func dispatch(args []string, out, errw io.Writer) int {
 func usage(errw io.Writer) {
 	fmt.Fprintf(errw, `usage:
   cbctl list [-v]
-  cbctl run   [-workers N] [-kworkers K] [-store DIR] [-v] [-text] [-ndjson] [-stats] [-cpuprofile F] [-memprofile F] -all | <experiment> ...
+  cbctl run   [-workers N] [-kworkers K] [-store DIR] [-v] [-text] [-ndjson] [-stats] [-steps N] [-scale K] [-cpuprofile F] [-memprofile F] -all | <experiment> ...
   cbctl diff  [-workers N] [-kworkers K] [-store DIR] [-v] [-stats] [-tolerance] [-C dir] -all | <experiment> ...
   cbctl bless [-workers N] [-kworkers K] [-store DIR] [-v] [-stats] [-C dir] -all | <experiment> ...
   cbctl bench [-in FILE] [-check] [-update] [-max-regress F] [-C dir]
   cbctl serve [-addr HOST:PORT] [-workers N] [-kworkers K] [-store DIR] [-v]
+  cbctl resilience [-mode M] [-nodes N] [-level L] [-ckpt N] [-mtbf S] [-failures N] [-seed S] [-restart-overhead S] [-steps N] [-scale K] [-json] [-kworkers K] [-stats] [-cpuprofile F] [-memprofile F]
+  cbctl facility [-policy P] [-jobs N] [-load F] [-mtbf S] [-mttr S] [-retries N] [-ckpt-every S] [-seed S] [-json] [-kworkers K] [-stats] [-cpuprofile F] [-memprofile F]
 
 Experiments are the registered paper artifacts and sweeps (see 'cbctl list'
 and EXPERIMENTS.md). diff exits non-zero on golden drift, missing baselines,
 or virtual-time budget violations. -store DIR shares compute results across
 processes through an on-disk, epoch-scoped store (results are byte-identical
-with the store disabled, cold or warm).
+with the store disabled, cold or warm). run -steps N / -scale K override
+the xPic workload, starting from the ci-quick profile; the document's meta
+then records the profile it ran (-steps 900 -scale 64 is the paper's).
+
+resilience runs one checkpoint/restart scenario under live failure
+injection (-mtbf per node, virtual seconds; ci-quick workload unless
+-steps/-scale); facility runs one arrival stream through the batch queue
+(-mtbf/-mttr per module) and prints the analytic MTBF/(MTBF+MTTR)
+availability next to the simulated one.
 
 bench parses 'go test -bench -benchmem' output (stdin, or -in FILE) into the
 canonical baseline JSON: -update records it as BENCH_kernel.json at the
@@ -157,7 +183,22 @@ type verbFlags struct {
 	ndjson     *bool
 	cpuprofile *string
 	memprofile *string
+	steps      *int
+	scale      *int
 }
+
+// Flag groups a verb opts into; -kworkers is common to all.
+const (
+	selectFlag    = 1 << iota // -all
+	sweepFlags                // -workers -store -v
+	statsFlag                 // -stats
+	toleranceFlag             // -tolerance
+	rootFlag                  // -C
+	outputFlags               // -text -ndjson
+	profileFlags              // -cpuprofile -memprofile
+	workloadFlags             // -steps -scale
+	expFlags      = selectFlag | sweepFlags | statsFlag
+)
 
 // parse runs the flag set; ok=false stops the verb with the given exit
 // code — 0 for an explicit -h/--help (matching flag.ExitOnError's exit
@@ -173,31 +214,60 @@ func (v verbFlags) parse(args []string) (code int, ok bool) {
 	}
 }
 
-func newFlags(verb string, errw io.Writer, withTolerance, withRoot, withText bool) verbFlags {
+func newFlags(verb string, errw io.Writer, groups int) verbFlags {
 	fs := flag.NewFlagSet("cbctl "+verb, flag.ContinueOnError)
 	fs.SetOutput(errw)
 	v := verbFlags{
 		fs:       fs,
-		all:      fs.Bool("all", false, "select every registered experiment"),
-		workers:  fs.Int("workers", 0, "sweep worker pool bound (0 = GOMAXPROCS)"),
 		kworkers: fs.Int("kworkers", 0, "kernel workers per eligible launch: conservative parallel execution of each scenario, bit-identical to serial (0/1 = serial)"),
-		store:    fs.String("store", "", "persistent run-store directory shared across processes (\"\" = in-process cache only); results are byte-identical either way"),
-		verbose:  fs.Bool("v", false, "per-scenario progress on stderr"),
-		stats:    fs.Bool("stats", false, "print execution-kernel, scenario-cache and run-store stats to stderr after the runs"),
 	}
-	if withTolerance {
+	if groups&selectFlag != 0 {
+		v.all = fs.Bool("all", false, "select every registered experiment")
+	}
+	if groups&sweepFlags != 0 {
+		v.workers = fs.Int("workers", 0, "sweep worker pool bound (0 = GOMAXPROCS)")
+		v.store = fs.String("store", "", "persistent run-store directory shared across processes (\"\" = in-process cache only); results are byte-identical either way")
+		v.verbose = fs.Bool("v", false, "per-scenario progress on stderr")
+	}
+	if groups&statsFlag != 0 {
+		v.stats = fs.Bool("stats", false, "print execution-kernel, scenario-cache and run-store stats to stderr after the runs")
+	}
+	if groups&toleranceFlag != 0 {
 		v.tolerance = fs.Bool("tolerance", false, "apply per-experiment relative tolerances to numeric drift")
 	}
-	if withRoot {
+	if groups&rootFlag != 0 {
 		v.chdir = fs.String("C", "", "module root for on-disk goldens (default: walk up from cwd)")
 	}
-	if withText {
+	if groups&outputFlags != 0 {
 		v.text = fs.Bool("text", false, "render paper-style text instead of canonical JSON")
 		v.ndjson = fs.Bool("ndjson", false, "emit one compact JSON document per line (the cbctl serve stream format)")
+	}
+	if groups&profileFlags != 0 {
 		v.cpuprofile = fs.String("cpuprofile", "", "write a pprof CPU profile of the runs to this file")
 		v.memprofile = fs.String("memprofile", "", "write a pprof allocation profile of the runs to this file")
 	}
+	if groups&workloadFlags != 0 {
+		v.steps = fs.Int("steps", 0, "override the xPic step count (starts from the ci-quick profile)")
+		v.scale = fs.Int("scale", 0, "override the xPic particle fidelity divisor (starts from the ci-quick profile)")
+	}
 	return v
+}
+
+// workload resolves -steps/-scale: nil (each experiment's pinned profile)
+// unless either is set, otherwise the ci-quick profile with the overrides
+// applied.
+func (v verbFlags) workload() *xpic.Config {
+	if v.steps == nil || (*v.steps <= 0 && *v.scale <= 0) {
+		return nil
+	}
+	cfg := exp.CIProfile()
+	if *v.steps > 0 {
+		cfg.Steps = *v.steps
+	}
+	if *v.scale > 0 {
+		cfg.ParticleScale = *v.scale
+	}
+	return &cfg
 }
 
 // openStore connects the persistent run store when -store is set; reports
@@ -215,19 +285,26 @@ func (v verbFlags) openStore(errw io.Writer) bool {
 	return true
 }
 
-// reportStats prints the aggregated execution-kernel counters, the I/O
-// stack's event counters, the batch-queue counters, the scenario-cache
-// hit/miss counters and (when a -store is connected) the persistent-store
-// counters to stderr when the verb's -stats flag is set.
+// reportStats prints the runtime counters to stderr when the verb's -stats
+// flag is set.
 func (v verbFlags) reportStats(errw io.Writer) {
 	if v.stats != nil && *v.stats {
-		fmt.Fprintf(errw, "cbctl: kernel %s\n", engine.Global())
-		fmt.Fprintf(errw, "cbctl: io %s\n", ioev.Global())
-		fmt.Fprintf(errw, "cbctl: queue %s\n", sched.Global())
-		fmt.Fprintf(errw, "cbctl: %s\n", sweep.RunCacheStats())
-		if st := sweep.DiskRunStore(); st != nil {
-			fmt.Fprintf(errw, "cbctl: run store: %s\n", st.Stats())
-		}
+		writeRuntimeStats(errw, "cbctl: ")
+	}
+}
+
+// writeRuntimeStats prints the aggregated execution-kernel counters, the I/O
+// stack's event counters, the batch-queue counters, the scenario-cache
+// hit/miss counters and (when a -store is connected) the persistent-store
+// counters, one prefixed line each — the -stats lines and the body of serve's
+// /statsz.
+func writeRuntimeStats(w io.Writer, prefix string) {
+	fmt.Fprintf(w, "%skernel %s\n", prefix, engine.Global())
+	fmt.Fprintf(w, "%sio %s\n", prefix, ioev.Global())
+	fmt.Fprintf(w, "%squeue %s\n", prefix, sched.Global())
+	fmt.Fprintf(w, "%s%s\n", prefix, sweep.RunCacheStats())
+	if st := sweep.DiskRunStore(); st != nil {
+		fmt.Fprintf(w, "%srun store: %s\n", prefix, st.Stats())
 	}
 }
 
@@ -268,15 +345,20 @@ func (v verbFlags) selectExps() ([]exp.Experiment, error) {
 }
 
 func (v verbFlags) options(errw io.Writer) exp.Options {
-	// The kernel worker count is a process-wide execution setting, not part
-	// of any scenario's configuration (results are bit-identical for every
-	// value, so it must never enter a cache key or a golden).
-	psmpi.SetDefaultKernelWorkers(*v.kworkers)
-	o := exp.Options{Workers: *v.workers}
+	v.setKernelWorkers()
+	o := exp.Options{Workers: *v.workers, Workload: v.workload()}
 	if *v.verbose {
 		o.Observer = exp.ProgressObserver(errw, "cbctl")
 	}
 	return o
+}
+
+// setKernelWorkers applies -kworkers. The kernel worker count is a
+// process-wide execution setting, not part of any scenario's configuration
+// (results are bit-identical for every value, so it must never enter a
+// cache key or a golden).
+func (v verbFlags) setKernelWorkers() {
+	psmpi.SetDefaultKernelWorkers(*v.kworkers)
 }
 
 // moduleRoot resolves the source tree for on-disk goldens ("" = embedded
@@ -289,7 +371,7 @@ func (v verbFlags) moduleRoot() string {
 }
 
 func runList(args []string, out, errw io.Writer) int {
-	v := newFlags("list", errw, false, true, false)
+	v := newFlags("list", errw, expFlags|rootFlag)
 	if code, ok := v.parse(args); !ok {
 		return code
 	}
@@ -322,7 +404,7 @@ func runList(args []string, out, errw io.Writer) int {
 }
 
 func runRun(args []string, out, errw io.Writer) int {
-	v := newFlags("run", errw, false, false, true)
+	v := newFlags("run", errw, expFlags|outputFlags|profileFlags|workloadFlags)
 	if code, ok := v.parse(args); !ok {
 		return code
 	}
@@ -380,7 +462,7 @@ func runRun(args []string, out, errw io.Writer) int {
 }
 
 func runDiff(args []string, out, errw io.Writer) int {
-	v := newFlags("diff", errw, true, true, false)
+	v := newFlags("diff", errw, expFlags|toleranceFlag|rootFlag)
 	if code, ok := v.parse(args); !ok {
 		return code
 	}
@@ -442,7 +524,7 @@ func runDiff(args []string, out, errw io.Writer) int {
 }
 
 func runBless(args []string, out, errw io.Writer) int {
-	v := newFlags("bless", errw, false, true, false)
+	v := newFlags("bless", errw, expFlags|rootFlag)
 	if code, ok := v.parse(args); !ok {
 		return code
 	}

@@ -90,6 +90,13 @@ func TestVerbDispatch(t *testing.T) {
 		{"bad flag", []string{"run", "-definitely-not-a-flag"}, 2, "", "flag provided but not defined"},
 		{"verb help exits zero", []string{"run", "-h"}, 0, "", "-workers"},
 		{"diff missing golden", []string{"diff", "-C", t.TempDir(), "test/stable"}, 1, "missing golden", ""},
+		{"diff rejects workload override", []string{"diff", "-steps", "2", "test/stable"}, 2, "", "flag provided but not defined: -steps"},
+		{"resilience help", []string{"resilience", "-h"}, 0, "", "-restart-overhead"},
+		{"resilience unknown mode", []string{"resilience", "-mode", "gpu"}, 2, "", `unknown mode "gpu"`},
+		{"resilience unknown level", []string{"resilience", "-level", "tape"}, 2, "", `unknown level "tape"`},
+		{"resilience rejects args", []string{"resilience", "fig7"}, 2, "", "no positional arguments"},
+		{"facility help", []string{"facility", "-h"}, 0, "", "-ckpt-every"},
+		{"facility unknown policy", []string{"facility", "-policy", "lifo"}, 2, "", `unknown facility policy "lifo"`},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			code, stdout, stderr := cbctl(t, tc.args...)
@@ -118,6 +125,49 @@ func TestRunOutputParses(t *testing.T) {
 	}
 	if doc.Experiment != "test/stable" || doc.Measures["value"] != 1 {
 		t.Fatalf("unexpected document %+v", doc)
+	}
+}
+
+// TestRunWorkloadOverride checks -steps/-scale reach the experiment and the
+// document records the run as a custom profile, not the pinned ci-quick one.
+func TestRunWorkloadOverride(t *testing.T) {
+	code, stdout, stderr := cbctl(t, "run", "-steps", "2", "-scale", "512", "fig7")
+	if code != 0 {
+		t.Fatalf("run failed (%d): %s", code, stderr)
+	}
+	doc, err := exp.ParseDocument([]byte(stdout))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := doc.Meta["profile"]; got != "custom" {
+		t.Fatalf("meta profile = %q, want custom (meta %v)", got, doc.Meta)
+	}
+	if !strings.Contains(doc.Meta["workload"], "steps=2, scale=512") {
+		t.Fatalf("meta workload = %q", doc.Meta["workload"])
+	}
+}
+
+// TestResilienceRestart injects node failures into a short ci-quick run and
+// expects the rewind to be reported.
+func TestResilienceRestart(t *testing.T) {
+	code, stdout, stderr := cbctl(t, "resilience", "-steps", "24", "-ckpt", "2", "-mtbf", "0.2", "-seed", "2")
+	if code != 0 {
+		t.Fatalf("resilience failed (%d): %s", code, stderr)
+	}
+	if !strings.HasPrefix(stdout, "resilience booster/buddy: ") || !strings.Contains(stdout, "  restart 1: ") {
+		t.Fatalf("resilience output lacks the restart line:\n%s", stdout)
+	}
+}
+
+// TestFacilityAvailability runs a failing machine and expects the simulated
+// availability next to the analytic MTBF/(MTBF+MTTR) = 12/13.5.
+func TestFacilityAvailability(t *testing.T) {
+	code, stdout, stderr := cbctl(t, "facility", "-jobs", "120", "-mtbf", "12", "-mttr", "1.5", "-ckpt-every", "0.25")
+	if code != 0 {
+		t.Fatalf("facility failed (%d): %s", code, stderr)
+	}
+	if !strings.Contains(stdout, "(analytic MTBF/(MTBF+MTTR)=0.8889)") {
+		t.Fatalf("facility output lacks the analytic availability:\n%s", stdout)
 	}
 }
 

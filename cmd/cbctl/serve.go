@@ -28,55 +28,31 @@ package main
 
 import (
 	"encoding/json"
-	"errors"
-	"flag"
 	"fmt"
 	"io"
 	"net"
 	"net/http"
 	"sync/atomic"
 
-	"clusterbooster/internal/engine"
 	"clusterbooster/internal/exp"
-	"clusterbooster/internal/ioev"
-	"clusterbooster/internal/psmpi"
-	"clusterbooster/internal/runstore"
-	"clusterbooster/internal/sched"
 	"clusterbooster/internal/sweep"
 )
 
 // runServe starts the HTTP service and blocks until the listener fails.
 func runServe(args []string, out, errw io.Writer) int {
-	fs := flag.NewFlagSet("cbctl serve", flag.ContinueOnError)
-	fs.SetOutput(errw)
-	addr := fs.String("addr", "127.0.0.1:8080", "listen address")
-	workers := fs.Int("workers", 0, "sweep worker pool bound per request (0 = GOMAXPROCS)")
-	kworkers := fs.Int("kworkers", 0, "kernel workers per eligible launch: conservative parallel execution, bit-identical to serial (0/1 = serial)")
-	store := fs.String("store", "", "persistent run-store directory shared across processes (\"\" = in-process cache only)")
-	verbose := fs.Bool("v", false, "per-scenario progress on stderr")
-	switch err := fs.Parse(args); {
-	case errors.Is(err, flag.ErrHelp):
-		return 0
-	case err != nil:
-		return 2
+	v := newFlags("serve", errw, sweepFlags)
+	addr := v.fs.String("addr", "127.0.0.1:8080", "listen address")
+	if code, ok := v.parse(args); !ok {
+		return code
 	}
-	if fs.NArg() != 0 {
+	if v.fs.NArg() != 0 {
 		fmt.Fprintln(errw, "cbctl: serve takes no positional arguments")
 		return 2
 	}
-	psmpi.SetDefaultKernelWorkers(*kworkers)
-	if *store != "" {
-		st, err := runstore.Open(*store, exp.CacheEpoch())
-		if err != nil {
-			fmt.Fprintf(errw, "cbctl: %v\n", err)
-			return 2
-		}
-		sweep.SetDiskRunStore(st)
+	if !v.openStore(errw) {
+		return 2
 	}
-	s := &server{workers: *workers}
-	if *verbose {
-		s.observer = exp.ProgressObserver(errw, "cbctl")
-	}
+	s := &server{opts: v.options(errw)}
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		fmt.Fprintf(errw, "cbctl: %v\n", err)
@@ -90,10 +66,10 @@ func runServe(args []string, out, errw io.Writer) int {
 	return 0
 }
 
-// server is the HTTP state: run options plus request counters for /statsz.
+// server is the HTTP state: the base run options (each request adds its
+// own Context) plus request counters for /statsz.
 type server struct {
-	workers  int
-	observer func(sweep.Event)
+	opts exp.Options
 
 	requests  atomic.Uint64 // HTTP requests accepted, all endpoints
 	docs      atomic.Uint64 // documents streamed successfully
@@ -124,13 +100,8 @@ func (s *server) statsz(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	fmt.Fprintf(w, "serve: requests=%d docs=%d run_errors=%d canceled=%d\n",
 		s.requests.Load(), s.docs.Load(), s.runErrors.Load(), s.canceled.Load())
-	fmt.Fprintf(w, "kernel %s\n", engine.Global())
-	fmt.Fprintf(w, "io %s\n", ioev.Global())
-	fmt.Fprintf(w, "queue %s\n", sched.Global())
-	fmt.Fprintf(w, "%s\n", sweep.RunCacheStats())
-	if st := sweep.DiskRunStore(); st != nil {
-		fmt.Fprintf(w, "run store: %s\n", st.Stats())
-	} else {
+	writeRuntimeStats(w, "")
+	if sweep.DiskRunStore() == nil {
 		fmt.Fprintln(w, "run store: disabled")
 	}
 }
@@ -186,7 +157,8 @@ func (s *server) run(w http.ResponseWriter, r *http.Request) {
 	// are synchronous and never torn down mid-run, and their results stay
 	// cached for the next request).
 	ctx := r.Context()
-	opts := exp.Options{Workers: s.workers, Observer: s.observer, Context: ctx}
+	opts := s.opts
+	opts.Context = ctx
 	for _, e := range exps {
 		if ctx.Err() != nil {
 			s.canceled.Add(1)

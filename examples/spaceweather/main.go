@@ -5,7 +5,8 @@
 // per-solver times and partitioning gains.
 //
 // The workload is a reduced version of Table II so the example finishes in
-// seconds; run cmd/deepsim fig7 for the full experiment.
+// seconds; run `cbctl run -text -steps 900 -scale 64 fig7` for the full
+// experiment.
 package main
 
 import (

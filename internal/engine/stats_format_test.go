@@ -9,8 +9,8 @@ import (
 
 // TestStatsStringFormat pins the -stats output format: serial kernels keep
 // the historic line, parallel activity appends the par_* counters, and a
-// recorded fallback is always named. cbctl run -stats and deepsim -stats
-// print these strings verbatim.
+// recorded fallback is always named. cbctl -stats prints these strings
+// verbatim.
 func TestStatsStringFormat(t *testing.T) {
 	serial := Stats{
 		Events: 100, Parks: 40, Switches: 60, Kept: 30, Callbacks: 10,

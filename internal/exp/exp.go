@@ -215,7 +215,7 @@ var (
 	regMu    sync.RWMutex
 	registry = map[string]Experiment{}
 	// order preserves registration order: the paper reads Table I, Table II,
-	// Fig. 3, Fig. 7, Fig. 8, and cbctl list / deepsim all follow it.
+	// Fig. 3, Fig. 7, Fig. 8, and cbctl list / run -all follow it.
 	order []string
 )
 
@@ -270,8 +270,9 @@ func Names() []string {
 }
 
 // ProgressObserver returns a sweep observer that logs per-scenario progress
-// to w, prefixed with the CLI's name — shared by cbctl and deepsim so the
-// two commands cannot drift apart.
+// to w, each line prefixed with prefix (the command's name) — shared by
+// cbctl's experiment verbs and serve so their progress lines cannot drift
+// apart.
 func ProgressObserver(w io.Writer, prefix string) func(sweep.Event) {
 	return func(ev sweep.Event) {
 		switch ev.Kind {

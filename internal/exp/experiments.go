@@ -18,8 +18,8 @@ import (
 )
 
 // CIProfile returns the pinned golden workload: the paper's Table II setup
-// (Table2Config) reduced to 60 steps at 1/512 particle fidelity — the same
-// reduction as `deepsim -quick`. Fidelity scaling preserves the physics
+// (Table2Config) reduced to 60 steps at 1/512 particle fidelity, and the
+// base that `cbctl run -steps/-scale` overrides start from. Fidelity scaling preserves the physics
 // shape (who wins, by what factor) while cutting virtual work, so the golden
 // documents remain faithful miniatures of the paper's runs.
 func CIProfile() xpic.Config {
@@ -74,9 +74,9 @@ func sweepOpts(o Options) sweep.Options {
 }
 
 // profileLabel names a workload: a config that matches a pinned profile
-// keeps its registry label even when passed explicitly (deepsim always
-// passes its resolved config), so e.g. `deepsim -quick fig7 -json`
-// reproduces the ci-quick golden byte-for-byte.
+// keeps its registry label even when passed explicitly, so e.g.
+// `cbctl run -steps 60 -scale 512 fig7` reproduces the ci-quick golden
+// byte-for-byte.
 func profileLabel(cfg xpic.Config) string {
 	switch {
 	case reflect.DeepEqual(cfg, CIProfile()):
@@ -88,7 +88,7 @@ func profileLabel(cfg xpic.Config) string {
 }
 
 // workload resolves the run's xPic config and profile label: the registry
-// profile unless interactively overridden (deepsim flags).
+// profile unless interactively overridden (cbctl run -steps/-scale).
 func workload(o Options) (xpic.Config, string) {
 	if o.Workload != nil {
 		return *o.Workload, profileLabel(*o.Workload)
@@ -155,9 +155,8 @@ type sweepFamily struct {
 // registerSweep registers a sweep-payload experiment. It owns the one run
 // path of every such family: build the scenarios, run them, abort on the
 // first failed one, derive the measures. The payload is the sweep.ResultSet
-// itself — exactly the document `deepsim -sweep -json` and `fabbench -json`
-// emit — so golden sweeps gate the whole emitter pipeline, not just the
-// physics.
+// itself, serialised by the sweep engine's JSON emitter, so golden sweeps
+// gate the whole emitter pipeline, not just the physics.
 func registerSweep(f sweepFamily) {
 	e := f.Experiment
 	e.Run = func(o Options) (Document, error) {
@@ -261,8 +260,8 @@ func registerTable2() {
 		Profile: "paper",
 	}
 	e.Run = func(o Options) (Document, error) {
-		// The golden documents the paper's full-fidelity setup; deepsim may
-		// override to render a custom workload.
+		// The golden documents the paper's full-fidelity setup; cbctl run
+		// -steps/-scale may override it to render a custom workload.
 		cfg := xpic.Table2Config()
 		if o.Workload != nil {
 			cfg = *o.Workload
@@ -445,7 +444,7 @@ func Scale16384Profile() xpic.Config {
 // continuation of Fig. 8, Booster-only vs C+B strong scaling on a pinned
 // workload whose grid decomposes to two rows per rank at the row's largest
 // count. The workload is not overridable (the grid only decomposes for
-// NY % max(counts) == 0), so deepsim/cbctl runs always reproduce the
+// NY % max(counts) == 0), so cbctl runs always reproduce the
 // golden. Each row after the first starts at the previous row's last count:
 // that point, run inside the row's own profile, is its efficiency
 // reference. Rows are separate experiments rather than extra points so each
@@ -714,7 +713,7 @@ func registerSweepPaper() {
 		},
 		scenarios: func(o Options) ([]sweep.Scenario, error) {
 			cfg, _ := workload(o)
-			return bench.PaperGrid(cfg, true).Scenarios()
+			return bench.PaperGrid(cfg).Scenarios()
 		},
 		meta:     workloadMeta,
 		measures: summaryOnly,

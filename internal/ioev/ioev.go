@@ -21,7 +21,7 @@
 // The package also holds File, the paged byte store behind every simulated
 // file whose content is kept (BeeGFS files, SION containers on node-local
 // devices), and owns the process-global I/O event counters surfaced by
-// `cbctl run -stats` and `deepsim -stats` (container bytes, cache-domain
+// `cbctl run -stats` (container bytes, cache-domain
 // flushes, buddy copies), mirroring engine.Global for kernel events.
 package ioev
 

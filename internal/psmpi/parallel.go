@@ -48,7 +48,7 @@ var defaultKernelWorkers atomic.Int32
 
 // SetDefaultKernelWorkers sets the process-wide default kernel worker count
 // used by launch sites that opt eligible jobs into parallel execution (the
-// -kworkers flag of deepsim and cbctl). n <= 1 selects serial execution.
+// -kworkers flag of cbctl). n <= 1 selects serial execution.
 func SetDefaultKernelWorkers(n int) {
 	if n < 0 {
 		n = 0

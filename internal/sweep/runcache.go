@@ -72,7 +72,7 @@ type runCacheEntry struct {
 }
 
 // CacheStats is the scenario cache's hit/miss counters, surfaced through the
-// -stats flags of cbctl run and deepsim.
+// -stats flags of cbctl.
 type CacheStats struct {
 	Hits   uint64
 	Misses uint64
