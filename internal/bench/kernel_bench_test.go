@@ -113,6 +113,108 @@ func BenchmarkKernelAllreduce64(b *testing.B) { benchAllreduce(b, 64) }
 // and allocation on every hop.
 func BenchmarkKernelAllreduce512(b *testing.B) { benchAllreduce(b, 512) }
 
+// launchOrderFree runs main on the first n Cluster nodes of a fresh machine
+// as an order-free launch, with the benchmark timer stopped, and returns
+// the kernel events the job processed. A main times its steady state
+// itself with timeRank0.
+func launchOrderFree(b *testing.B, n int, main psmpi.MainFunc) uint64 {
+	b.StopTimer()
+	rt := benchRuntime(n, 0)
+	res, err := rt.Launch(psmpi.LaunchSpec{
+		Nodes:     rt.System().Module(machine.Cluster)[:n],
+		Main:      main,
+		OrderFree: true,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	return res.Engine.Events
+}
+
+// timeRank0 runs fn with the benchmark timer running, as seen from rank 0.
+// fn must start right after a collective that every rank has reached (so
+// the job has booted) and end with one (so only exits remain); the serial
+// kernel runs one rank at a time, so the bracket then holds the work of
+// every rank, and ns/op and allocs/op do not depend on b.N.
+func timeRank0(b *testing.B, p *psmpi.Proc, fn func()) {
+	if p.Rank() != 0 {
+		fn()
+		return
+	}
+	b.StartTimer()
+	fn()
+	b.StopTimer()
+}
+
+// benchAllreduceScalar performs b.N AllreduceScalar calls over n ranks of
+// an order-free launch (the CG solver's reduction), across chunked jobs,
+// and reports the kernel events per call; job boot is excluded from all
+// three metrics.
+func benchAllreduceScalar(b *testing.B, n int) {
+	const chunk = 64
+	job := func(iters int) psmpi.MainFunc {
+		return func(p *psmpi.Proc) error {
+			w := p.World()
+			v := p.AllreduceScalar(w, float64(p.Rank()), psmpi.OpSum)
+			timeRank0(b, p, func() {
+				for i := 0; i < iters; i++ {
+					v = p.AllreduceScalar(w, v, psmpi.OpSum) / float64(n)
+				}
+			})
+			return nil
+		}
+	}
+	var events, boot uint64
+	b.ReportAllocs()
+	b.ResetTimer()
+	for done := 0; done < b.N; done += chunk {
+		events += launchOrderFree(b, n, job(min(chunk, b.N-done)))
+		boot += launchOrderFree(b, n, job(0))
+	}
+	b.ReportMetric(float64(events-boot)/float64(b.N), "events/op")
+}
+
+// BenchmarkKernelAllreduceScalar1024 is one CG reduction at the fig8-scale
+// strong-scaling limit (n = 1024).
+func BenchmarkKernelAllreduceScalar1024(b *testing.B) { benchAllreduceScalar(b, 1024) }
+
+// BenchmarkKernelAllreduceScalar4096 is one CG reduction at the
+// fig8-scale4096 limit (n = 4096).
+func BenchmarkKernelAllreduceScalar4096(b *testing.B) { benchAllreduceScalar(b, 4096) }
+
+// BenchmarkKernelCGIteration times one conjugate-gradient iteration of the
+// implicit field solve at n = 1024 on the scale profile: two halo
+// exchanges of the three E components and two global reductions per rank.
+// One job sets the solve up and then runs b.N iterations; job boot and
+// set-up are excluded from all three metrics.
+func BenchmarkKernelCGIteration(b *testing.B) {
+	const n = 1024
+	cfg := benchScaleConfig()
+	job := func(iters int) psmpi.MainFunc {
+		return func(p *psmpi.Proc) error {
+			g := xpic.NewGrid(cfg.NX, cfg.NY, p.Rank(), n)
+			ex, bz, rhoe := g.F(xpic.FEx), g.F(xpic.FBz), g.F(xpic.FRhoE)
+			for i := range ex {
+				v := float64((i+p.Rank())%7) - 3
+				ex[i], bz[i], rhoe[i] = v, v/2, 1+v*v
+			}
+			fld := xpic.NewFieldSolver(g, cfg)
+			fld.StartCG(p, p.World())
+			timeRank0(b, p, func() {
+				for i := 0; i < iters; i++ {
+					fld.CGIteration(p, p.World())
+				}
+			})
+			return nil
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	events := launchOrderFree(b, n, job(b.N))
+	setup := launchOrderFree(b, n, job(0))
+	b.ReportMetric(float64(events-setup)/float64(b.N), "events/op")
+}
+
 // BenchmarkKernelFig7Split runs the Fig. 7 C+B pipeline (spawn, split
 // solvers, Issend/Irecv exchange, halo traffic, collective diagnostics) on a
 // communication-heavy workload: a small grid over many steps, so the

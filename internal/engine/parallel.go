@@ -142,6 +142,17 @@ func (t *Task) Defer(fn func()) {
 	t.grp.outbox = append(t.grp.outbox, fn)
 }
 
+// Frontier is the earliest virtual time a wakeup scheduled at a round
+// barrier may carry without landing inside the window just finished: that
+// window's end on a multi-group kernel, zero on a one-group kernel (whose
+// single round ends only when the kernel is idle).
+func (e *Engine) Frontier() vclock.Time {
+	if len(e.groups) == 1 || e.windowEnd == vclock.Never {
+		return 0
+	}
+	return e.windowEnd
+}
+
 // Run drives the kernel until every task has exited: callbacks between
 // rounds, safe-window rounds across the groups, outbox replay at each
 // barrier. It is called once, from the goroutine that built the job (which

@@ -195,8 +195,14 @@ func (p *Proc) ReduceF64(c *Comm, root int, buf []float64, op Op) {
 }
 
 // AllreduceF64 reduces buf elementwise across all ranks and leaves the result
-// in every rank's buf (reduce-to-0 + broadcast; 2⌈log2 p⌉ rounds).
+// in every rank's buf (reduce-to-0 + broadcast; 2⌈log2 p⌉ rounds). On an
+// order-free launch an eager-sized buffer takes the collective rendezvous
+// instead, with identical results, clocks and statistics (rendezvous.go).
 func (p *Proc) AllreduceF64(c *Comm, buf []float64, op Op) {
+	if p.rendezvousAllreduce(c, buf) {
+		p.allreduceRendezvous(c, buf, op)
+		return
+	}
 	p.ReduceF64(c, 0, buf, op)
 	p.BcastF64(c, 0, buf)
 }

@@ -15,6 +15,9 @@ type Comm struct {
 	// order, so the counters agree and tag blocks match without any
 	// cross-rank coordination.
 	collSeq []uint64
+	// rvArrived counts the ranks parked in the pending allreduce
+	// rendezvous (rendezvous.go).
+	rvArrived int
 }
 
 // Size returns the number of processes in the local group.

@@ -116,6 +116,7 @@ func (p *Proc) Probe(c *Comm, src, tag int) Status {
 		// current time may lie inside an already-processed window).
 		panic("psmpi: Probe on a parallel kernel (run with 1 kernel worker)")
 	}
+	p.orderDependent("Probe")
 	mb := p.mbox
 	probe := postedRecv{commID: c.id, src: src, tag: tag}
 	for {
@@ -131,6 +132,7 @@ func (p *Proc) Probe(c *Comm, src, tag int) Status {
 
 // Iprobe checks for a matching message without blocking (MPI_Iprobe).
 func (p *Proc) Iprobe(c *Comm, src, tag int) (Status, bool) {
+	p.orderDependent("Iprobe")
 	probe := postedRecv{commID: c.id, src: src, tag: tag}
 	for _, e := range p.mbox.unexpected {
 		if probe.matches(e) {

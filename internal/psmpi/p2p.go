@@ -87,6 +87,10 @@ type postedRecv struct {
 	// envelope (which the sender polls) is deferred to the round barrier,
 	// but the receiver may complete within the round.
 	senderDone vclock.Time
+	// prev and next link the record into its mailbox's posted queue while
+	// queued is set.
+	prev, next *postedRecv
+	queued     bool
 }
 
 func (pr *postedRecv) matches(e *envelope) bool {
@@ -99,11 +103,13 @@ func (pr *postedRecv) matches(e *envelope) bool {
 // with standard MPI matching precedence. The execution kernel runs exactly
 // one rank at a time, so the mailbox needs no locking: deliver (called by
 // the sending rank) and the receive paths (called by the owning rank) can
-// never overlap.
+// never overlap. The posted queue is an intrusive doubly linked list in
+// post order: deliver scans it front to back, and a completed receive
+// unlinks itself in O(1) wherever it sits.
 type mailbox struct {
 	unexpected []*envelope
-	posted     []*postedRecv
-	probers    []*Proc // ranks parked in Probe, woken on new unexpected mail
+	head, tail *postedRecv // posted receives, oldest first
+	probers    []*Proc     // ranks parked in Probe, woken on new unexpected mail
 }
 
 func newMailbox() *mailbox { return &mailbox{} }
@@ -116,7 +122,7 @@ func newMailbox() *mailbox { return &mailbox{} }
 // receiver to reach its own completion call. Ejection-link serialisation and
 // the receiver-side arrival happen later, in the receiver's task.
 func (mb *mailbox) deliver(e *envelope, dst *Proc) {
-	for _, pr := range mb.posted {
+	for pr := mb.head; pr != nil; pr = pr.next {
 		if pr.env == nil && pr.matches(e) {
 			completeMatch(pr, e, dst)
 			return
@@ -357,8 +363,8 @@ func (p *Proc) IssendF64Shared(c *Comm, dst, tag int, buf []float64) *Request {
 
 // recvCommon matches a message, timing the receive. Returns the envelope.
 func (p *Proc) recvCommon(c *Comm, src, tag int) *envelope {
-	if src == AnySource && p.l.par != nil {
-		panic("psmpi: AnySource receive on a parallel kernel (run with 1 kernel worker)")
+	if src == AnySource {
+		p.anySource()
 	}
 	if p.rt.trace != nil {
 		defer p.record("recv", p.clock.Now())
@@ -372,21 +378,51 @@ func (p *Proc) recvCommon(c *Comm, src, tag int) *envelope {
 	// reuses a per-rank scratch record instead of allocating.
 	pr := &p.recvScratch
 	*pr = postedRecv{commID: c.id, src: src, tag: tag, posted: p.clock.Now(), waiter: p.task}
-	mb.posted = append(mb.posted, pr)
+	mb.post(pr)
 	p.task.Park()
 	mb.removePosted(pr)
 	p.completeRecvPosted(pr)
 	return pr.env
 }
 
-// removePosted drops a completed posted receive.
-func (mb *mailbox) removePosted(pr *postedRecv) {
-	for i, q := range mb.posted {
-		if q == pr {
-			mb.posted = append(mb.posted[:i], mb.posted[i+1:]...)
-			return
-		}
+// post appends a receive to the posted queue.
+func (mb *mailbox) post(pr *postedRecv) {
+	pr.prev, pr.next, pr.queued = mb.tail, nil, true
+	if mb.tail != nil {
+		mb.tail.next = pr
+	} else {
+		mb.head = pr
 	}
+	mb.tail = pr
+}
+
+// anySource refuses an AnySource receive where its match would depend on
+// the order in which senders run: on a parallel kernel and on an
+// order-free launch.
+func (p *Proc) anySource() {
+	if p.l.par != nil {
+		panic("psmpi: AnySource receive on a parallel kernel (run with 1 kernel worker)")
+	}
+	p.orderDependent("an AnySource receive")
+}
+
+// removePosted unlinks a completed receive from the posted queue; a
+// receive matched at post time was never queued, and is left alone.
+func (mb *mailbox) removePosted(pr *postedRecv) {
+	if !pr.queued {
+		return
+	}
+	if pr.prev != nil {
+		pr.prev.next = pr.next
+	} else {
+		mb.head = pr.next
+	}
+	if pr.next != nil {
+		pr.next.prev = pr.prev
+	} else {
+		mb.tail = pr.prev
+	}
+	pr.prev, pr.next, pr.queued = nil, nil, false
 }
 
 // completeRecvUnexpected times a receive that found its message already
@@ -394,14 +430,13 @@ func (mb *mailbox) removePosted(pr *postedRecv) {
 // the same cross-group deferral rule as completeMatch; the receiver works
 // with its locally computed completion time either way.
 func (p *Proc) completeRecvUnexpected(e *envelope) {
-	p.Stats.Recvs++
-	p.Stats.BytesRecv += int64(e.bytes)
 	if e.eager {
-		p.elapseComm(p.eagerArrival(e))
-		p.addComm(p.rt.net.EagerRecvCost(p.node, e.bytes))
+		p.completeEager(e.srcNode, e.bytes, e.arrival)
 		p.stageInterRecv(e)
 		return
 	}
+	p.Stats.Recvs++
+	p.Stats.BytesRecv += int64(e.bytes)
 	dmaEnd := p.rt.net.RendezvousMatch(
 		e.srcNode, p.node, e.bytes, e.rts, e.injEnd, p.clock.Now())
 	if p.crossGroup(e.srcNode) {
@@ -416,25 +451,29 @@ func (p *Proc) completeRecvUnexpected(e *envelope) {
 // completeRecvPosted times a receive whose posting preceded the message.
 func (p *Proc) completeRecvPosted(pr *postedRecv) {
 	e := pr.env
-	p.Stats.Recvs++
-	p.Stats.BytesRecv += int64(e.bytes)
 	if e.eager {
-		p.elapseComm(p.eagerArrival(e))
-		p.addComm(p.rt.net.EagerRecvCost(p.node, e.bytes))
+		p.completeEager(e.srcNode, e.bytes, e.arrival)
 		p.stageInterRecv(e)
 		return
 	}
+	p.Stats.Recvs++
+	p.Stats.BytesRecv += int64(e.bytes)
 	p.elapseComm(p.rendezvousArrival(e, pr.senderDone))
 	p.stageInterRecv(e)
 }
 
-// eagerArrival serialises an eager message on this rank's ejection link at
-// receive-completion time (intra-node messages have no link to serialise on).
-func (p *Proc) eagerArrival(e *envelope) vclock.Time {
-	if e.srcNode.ID == p.node.ID {
-		return e.arrival
+// completeEager times the receipt of an eager message of bytes from src
+// that reached this rank's NIC at arrival: the message is serialised on the
+// ejection link at receive-completion time (intra-node messages have no
+// link to serialise on), then the receiving CPU matches and copies it out.
+func (p *Proc) completeEager(src *machine.Node, bytes int, arrival vclock.Time) {
+	p.Stats.Recvs++
+	p.Stats.BytesRecv += int64(bytes)
+	if src.ID != p.node.ID {
+		arrival = p.rt.net.EagerEject(p.node, bytes, arrival)
 	}
-	return p.rt.net.EagerEject(p.node, e.bytes, e.arrival)
+	p.elapseComm(arrival)
+	p.addComm(p.rt.net.EagerRecvCost(p.node, bytes))
 }
 
 // rendezvousArrival serialises a matched rendezvous transfer on this rank's
@@ -489,8 +528,8 @@ func (p *Proc) newPR() *postedRecv {
 
 // Irecv posts a non-blocking receive (MPI_Irecv); complete it with Wait.
 func (p *Proc) Irecv(c *Comm, src, tag int) *Request {
-	if src == AnySource && p.l.par != nil {
-		panic("psmpi: AnySource receive on a parallel kernel (run with 1 kernel worker)")
+	if src == AnySource {
+		p.anySource()
 	}
 	mb := p.mbox
 	req := &Request{p: p, mb: mb}
@@ -501,7 +540,7 @@ func (p *Proc) Irecv(c *Comm, src, tag int) *Request {
 		completeMatch(pr, e, p)
 		return req
 	}
-	mb.posted = append(mb.posted, pr)
+	mb.post(pr)
 	return req
 }
 

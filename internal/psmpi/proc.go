@@ -59,6 +59,16 @@ type Proc struct {
 	eagerDone Request
 	// scalarBuf is AllreduceScalar's reusable one-element working buffer.
 	scalarBuf []float64
+	// rvBuf, rvOp and rvComm are this rank's deposit in a pending allreduce
+	// rendezvous; rvArr is the NIC arrival of the tree message the replay
+	// is carrying to or from it, rvWake the instant the replay resumes it;
+	// rvArrive is arriveAtBarrier bound to this rank (rendezvous.go).
+	rvBuf    []float64
+	rvOp     Op
+	rvComm   *Comm
+	rvArr    vclock.Time
+	rvWake   vclock.Time
+	rvArrive func()
 
 	// Stats is public for post-run inspection; during the run only the
 	// owning goroutine touches it.
@@ -130,6 +140,7 @@ func (p *Proc) Compute(w machine.Work) {
 // is the earliest pending event the kernel returns immediately — a device
 // wait with nothing concurrent costs two queue operations.)
 func (p *Proc) Elapse(d vclock.Time) {
+	p.orderDependent("Elapse")
 	p.clock.Advance(d)
 	p.Stats.OtherTime += d
 	p.task.SleepUntil(p.clock.Now())
@@ -142,6 +153,7 @@ func (p *Proc) Elapse(d vclock.Time) {
 // in virtual time rather than the instant it was issued. A callback still
 // pending when the job's last rank exits never runs.
 func (p *Proc) CallAt(at vclock.Time, fn func()) {
+	p.orderDependent("CallAt")
 	p.l.eng.CallAt(at, fn)
 }
 

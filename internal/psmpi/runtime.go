@@ -182,6 +182,10 @@ type launch struct {
 	max  vclock.Time
 	all  []*Proc
 
+	// onNode marks, by node ID, the nodes hosting a proc of the tree. It
+	// is kept only on order-free launches: non-nil means LaunchSpec.OrderFree.
+	onNode []bool
+
 	// envFree is the launch's envelope free list, one list per group (one
 	// list total on a serial launch). Only rank code touches a list, and the
 	// kernel runs one rank per group at a time, so no synchronisation is
@@ -297,6 +301,16 @@ type LaunchSpec struct {
 	// zero fabric lookahead) fall back to serial and record the reason in
 	// Result.Engine.Fallback. 0 or 1 selects the serial kernel.
 	KernelWorkers int
+	// OrderFree declares that the job's results cannot depend on the order
+	// in which its ranks resume: every node of the job tree hosts one proc,
+	// so each fabric link has a single writer and all timing follows from
+	// rank clocks. Eager-sized AllreduceF64/AllreduceScalar calls then run
+	// as a collective rendezvous (rendezvous.go). The runtime checks the
+	// declaration: Launch refuses a node listed twice or armed failures or
+	// revocations, Spawn refuses a node that already hosts a proc of the
+	// tree, and AnySource receives, Probe, Iprobe, Proc.Elapse and
+	// Proc.CallAt fail the calling rank.
+	OrderFree bool
 }
 
 // Result summarises a completed job tree.
@@ -333,7 +347,13 @@ func (rt *Runtime) Launch(spec LaunchSpec) (Result, error) {
 	if spec.Main == nil {
 		return Result{}, errors.New("psmpi: launch with nil main")
 	}
-	l := &launch{eng: engine.New(), plac: spec.Placement}
+	l := &launch{plac: spec.Placement}
+	if spec.OrderFree {
+		if err := l.claimOrderFree(rt, spec); err != nil {
+			return Result{}, err
+		}
+	}
+	l.eng = engine.New()
 	rt.setupParallel(l, spec)
 	l.initPools()
 	world := rt.newWorld(l, spec.Nodes, spec.Args, spec.StartTime, nil)

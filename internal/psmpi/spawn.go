@@ -76,6 +76,11 @@ func (p *Proc) spawnRoot(c *Comm, spec SpawnSpec) spawnHandle {
 	if err != nil {
 		return spawnHandle{err: fmt.Errorf("psmpi: spawn placement: %w", err)}
 	}
+	if p.l.onNode != nil {
+		if err := p.l.claimNodes(nodes); err != nil {
+			return spawnHandle{err: fmt.Errorf("psmpi: spawn: %w", err)}
+		}
+	}
 
 	// The children's clocks start after the spawn overhead has elapsed on
 	// the (synchronised) parents.

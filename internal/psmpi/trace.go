@@ -41,7 +41,9 @@ func (rt *Runtime) EnableTracing() {
 	}
 }
 
-// TraceEvents returns a copy of the recorded events, ordered by start time.
+// TraceEvents returns a copy of the recorded events, ordered by start time,
+// then rank, end, name and node: a total order, so the result does not
+// depend on the order in which spans were recorded.
 func (rt *Runtime) TraceEvents() []TraceEvent {
 	rt.mu.Lock()
 	sink := rt.trace
@@ -52,7 +54,20 @@ func (rt *Runtime) TraceEvents() []TraceEvent {
 	sink.mu.Lock()
 	out := append([]TraceEvent(nil), sink.events...)
 	sink.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool { return out[i].Start < out[j].Start })
+	sort.Slice(out, func(i, j int) bool {
+		a, b := &out[i], &out[j]
+		switch {
+		case a.Start != b.Start:
+			return a.Start < b.Start
+		case a.Rank != b.Rank:
+			return a.Rank < b.Rank
+		case a.End != b.End:
+			return a.End < b.End
+		case a.Name != b.Name:
+			return a.Name < b.Name
+		}
+		return a.Node < b.Node
+	})
 	return out
 }
 

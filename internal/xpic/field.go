@@ -34,6 +34,9 @@ type FieldSolver struct {
 	// the magnetisation rotation, a documented simplification).
 	chi []float64
 
+	// rr is the global squared residual norm of the solve in progress.
+	rr float64
+
 	// LastIters reports the CG iteration count of the most recent solve.
 	LastIters int
 }
@@ -193,9 +196,28 @@ func (fs *FieldSolver) buildRHS() {
 // reductions over comm and charges the rank's clock with the field-solver
 // kernel cost.
 func (fs *FieldSolver) SolveE(p *psmpi.Proc, comm *psmpi.Comm) {
+	rr0 := fs.StartCG(p, comm)
+	if rr0 == 0 {
+		rr0 = 1
+	}
+	fs.LastIters = 0
+	for iter := 0; iter < fs.cfg.CGMaxIter && fs.rr > fs.cfg.CGTol*fs.cfg.CGTol*rr0 && !math.IsNaN(fs.rr); iter++ {
+		fs.LastIters++
+		if !fs.CGIteration(p, comm) {
+			break
+		}
+	}
+	// Final halos so downstream consumers (interface buffer, curl) see a
+	// consistent field.
+	fs.g.ExchangeHalos(p, comm, FEx, FEy, FEz)
+}
+
+// StartCG sets up the implicit E solve: it builds the right-hand side and
+// the susceptibility, computes the residual of the current E (the warm
+// start) as the first search direction, and returns its global squared
+// norm.
+func (fs *FieldSolver) StartCG(p *psmpi.Proc, comm *psmpi.Comm) float64 {
 	g := fs.g
-	d := fs.cfg.Theta * fs.cfg.Dt // c = 1
-	d2 := d * d
 	cells := float64(g.NX * g.LY)
 
 	// RHS build (B halos first) and susceptibility assembly from the
@@ -209,7 +231,7 @@ func (fs *FieldSolver) SolveE(p *psmpi.Proc, comm *psmpi.Comm) {
 	e := fs.eComponents()
 	// Residual r = RHS − A·E (warm start from current E); p = r.
 	g.ExchangeHalos(p, comm, FEx, FEy, FEz)
-	fs.applyCurlCurl(p, comm, &fs.ap, &e, d2)
+	fs.applyCurlCurl(p, comm, &fs.ap, &e, fs.d2())
 	lo, hi := g.NX, g.NX*(g.LY+1)
 	var rr float64
 	for c := 0; c < 3; c++ {
@@ -221,61 +243,72 @@ func (fs *FieldSolver) SolveE(p *psmpi.Proc, comm *psmpi.Comm) {
 		rr += fs.dotLocal(fs.r[c], fs.r[c])
 	}
 	p.Compute(machine.Work{Class: machine.KernelFieldSolver, Flops: (flopsMatvecPerCell + 3*4) * cells})
-	rr = p.AllreduceScalar(comm, rr, psmpi.OpSum)
-	rr0 := rr
-	if rr0 == 0 {
-		rr0 = 1
-	}
+	fs.rr = p.AllreduceScalar(comm, rr, psmpi.OpSum)
+	return fs.rr
+}
 
-	fs.LastIters = 0
-	for iter := 0; iter < fs.cfg.CGMaxIter && rr > fs.cfg.CGTol*fs.cfg.CGTol*rr0 && !math.IsNaN(rr); iter++ {
-		fs.LastIters++
-		// Halo for the search direction, then A·p.
-		fs.exchangeTriple(p, comm, &fs.pv)
-		fs.applyCurlCurl(p, comm, &fs.ap, &fs.pv, d2)
-		var pap float64
-		for c := 0; c < 3; c++ {
-			pap += fs.dotLocal(fs.pv[c], fs.ap[c])
-		}
-		pap = p.AllreduceScalar(comm, pap, psmpi.OpSum)
-		if pap == 0 {
-			break
-		}
-		alpha := rr / pap
-		var rrNew float64
-		for c := 0; c < 3; c++ {
-			ev, rv, pvv, apv := e[c][lo:hi], fs.r[c][lo:hi], fs.pv[c][lo:hi], fs.ap[c][lo:hi]
-			for i := range rv {
-				ev[i] += alpha * pvv[i]
-				rv[i] -= alpha * apv[i]
-			}
-			rrNew += fs.dotLocal(fs.r[c], fs.r[c])
-		}
-		rrNew = p.AllreduceScalar(comm, rrNew, psmpi.OpSum)
-		beta := rrNew / rr
-		for c := 0; c < 3; c++ {
-			rv, pvv := fs.r[c][lo:hi], fs.pv[c][lo:hi]
-			for i := range pvv {
-				pvv[i] = rv[i] + beta*pvv[i]
-			}
-		}
-		rr = rrNew
-		p.Compute(machine.Work{Class: machine.KernelFieldSolver,
-			Flops: (flopsMatvecPerCell + 3*flopsCGVecPerCell) * cells})
+// CGIteration runs one conjugate-gradient iteration of the solve StartCG
+// set up: a halo exchange of the search direction, the curl-curl matvec
+// (with its own exchange), and two global reductions. It reports false,
+// leaving E unchanged, when the search direction is A-orthogonal to
+// itself (the iteration cannot proceed).
+func (fs *FieldSolver) CGIteration(p *psmpi.Proc, comm *psmpi.Comm) bool {
+	g := fs.g
+	e := fs.eComponents()
+	lo, hi := g.NX, g.NX*(g.LY+1)
+	// Halo for the search direction, then A·p.
+	fs.exchangeTriple(p, comm, &fs.pv)
+	fs.applyCurlCurl(p, comm, &fs.ap, &fs.pv, fs.d2())
+	var pap float64
+	for c := 0; c < 3; c++ {
+		pap += fs.dotLocal(fs.pv[c], fs.ap[c])
 	}
-	// Final halos so downstream consumers (interface buffer, curl) see a
-	// consistent field.
-	g.ExchangeHalos(p, comm, FEx, FEy, FEz)
+	pap = p.AllreduceScalar(comm, pap, psmpi.OpSum)
+	if pap == 0 {
+		return false
+	}
+	alpha := fs.rr / pap
+	var rrNew float64
+	for c := 0; c < 3; c++ {
+		ev, rv, pvv, apv := e[c][lo:hi], fs.r[c][lo:hi], fs.pv[c][lo:hi], fs.ap[c][lo:hi]
+		for i := range rv {
+			ev[i] += alpha * pvv[i]
+			rv[i] -= alpha * apv[i]
+		}
+		rrNew += fs.dotLocal(fs.r[c], fs.r[c])
+	}
+	rrNew = p.AllreduceScalar(comm, rrNew, psmpi.OpSum)
+	beta := rrNew / fs.rr
+	for c := 0; c < 3; c++ {
+		rv, pvv := fs.r[c][lo:hi], fs.pv[c][lo:hi]
+		for i := range pvv {
+			pvv[i] = rv[i] + beta*pvv[i]
+		}
+	}
+	fs.rr = rrNew
+	p.Compute(machine.Work{Class: machine.KernelFieldSolver,
+		Flops: (flopsMatvecPerCell + 3*flopsCGVecPerCell) * float64(g.NX*g.LY)})
+	return true
+}
+
+// d2 is the squared implicit coupling length (c = 1): d = θΔt.
+func (fs *FieldSolver) d2() float64 {
+	d := fs.cfg.Theta * fs.cfg.Dt
+	return d * d
 }
 
 // exchangeTriple halo-exchanges the three components of a work vector.
 func (fs *FieldSolver) exchangeTriple(p *psmpi.Proc, comm *psmpi.Comm, v *[3][]float64) {
 	g := fs.g
-	// Temporarily view the work vectors as named fields for the exchange.
-	saved := [3][]float64{g.fields[FEx], g.fields[FEy], g.fields[FEz]}
-	g.fields[FEx], g.fields[FEy], g.fields[FEz] = v[0], v[1], v[2]
+	// Swap the work vectors into the E slots for the exchange, then back.
+	swap := func() {
+		for c := range v {
+			g.fields[FEx+Field(c)], v[c] = v[c], g.fields[FEx+Field(c)]
+		}
+	}
+	swap()
 	g.ExchangeHalos(p, comm, FEx, FEy, FEz)
-	g.fields[FEx], g.fields[FEy], g.fields[FEz] = saved[0], saved[1], saved[2]
+	swap()
 }
 
 // SolveB advances the magnetic field explicitly with Faraday's law (the

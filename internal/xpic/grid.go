@@ -14,28 +14,47 @@ type Grid struct {
 	Rank   int // slab index
 	Ranks  int // slabs
 	Y0     int // first global row of this slab
-	fields map[string][]float64
+	fields [numFields][]float64
 }
 
-// Field names used by the solvers.
+// Field indexes one array of a slab: a field or a moment component.
+type Field int
+
+// The arrays of a slab, fields first, then moments.
 const (
-	FEx, FEy, FEz = "Ex", "Ey", "Ez"
-	FBx, FBy, FBz = "Bx", "By", "Bz"
-	FRho          = "Rho"
-	FJx, FJy, FJz = "Jx", "Jy", "Jz"
+	FEx Field = iota
+	FEy
+	FEz
+	FBx
+	FBy
+	FBz
+	FRho
+	FJx
+	FJy
+	FJz
 	// FRhoE is the electron charge-density magnitude, the moment the
 	// implicit-moment field solver needs to assemble the plasma
 	// susceptibility of its implicit operator.
-	FRhoE = "RhoE"
+	FRhoE
+	numFields
 )
 
+var fieldNames = [numFields]string{"Ex", "Ey", "Ez", "Bx", "By", "Bz", "Rho", "Jx", "Jy", "Jz", "RhoE"}
+
+// String names the array.
+func (f Field) String() string { return fieldNames[f] }
+
 // FieldNames lists the electromagnetic field components.
-var FieldNames = []string{FEx, FEy, FEz, FBx, FBy, FBz}
+var FieldNames = []Field{FEx, FEy, FEz, FBx, FBy, FBz}
 
 // MomentNames lists the particle-moment components shipped from the particle
 // solver to the field solver (the ρ,J of Fig. 5, plus the electron density
 // for the susceptibility assembly).
-var MomentNames = []string{FRho, FJx, FJy, FJz, FRhoE}
+var MomentNames = []Field{FRho, FJx, FJy, FJz, FRhoE}
+
+// gridState lists every array of a slab, fields then moments: the layout of
+// the checkpoint snapshots.
+var gridState = append(append([]Field(nil), FieldNames...), MomentNames...)
 
 // NewGrid builds the slab for the given rank.
 func NewGrid(nx, ny, rank, ranks int) *Grid {
@@ -43,19 +62,15 @@ func NewGrid(nx, ny, rank, ranks int) *Grid {
 	g := &Grid{
 		NX: nx, NY: ny, LY: ly,
 		Rank: rank, Ranks: ranks, Y0: rank * ly,
-		fields: map[string][]float64{},
 	}
-	for _, name := range FieldNames {
-		g.fields[name] = make([]float64, nx*(ly+2))
-	}
-	for _, name := range MomentNames {
-		g.fields[name] = make([]float64, nx*(ly+2))
+	for f := range g.fields {
+		g.fields[f] = make([]float64, nx*(ly+2))
 	}
 	return g
 }
 
 // F returns the named field array (with ghost rows).
-func (g *Grid) F(name string) []float64 { return g.fields[name] }
+func (g *Grid) F(name Field) []float64 { return g.fields[name] }
 
 // Idx converts local coordinates (ix in [0,NX), iy in [0, LY+2)) to the array
 // index; iy=0 and iy=LY+1 are the ghost rows.
@@ -72,7 +87,7 @@ func (g *Grid) WrapX(ix int) int {
 
 // Row returns a copy of row iy of the named field (real row indices 1..LY,
 // ghosts 0 and LY+1).
-func (g *Grid) Row(name string, iy int) []float64 {
+func (g *Grid) Row(name Field, iy int) []float64 {
 	a := g.F(name)
 	out := make([]float64, g.NX)
 	copy(out, a[g.Idx(0, iy):g.Idx(0, iy)+g.NX])
@@ -80,13 +95,13 @@ func (g *Grid) Row(name string, iy int) []float64 {
 }
 
 // SetRow overwrites row iy of the named field.
-func (g *Grid) SetRow(name string, iy int, row []float64) {
+func (g *Grid) SetRow(name Field, iy int, row []float64) {
 	a := g.F(name)
 	copy(a[g.Idx(0, iy):g.Idx(0, iy)+g.NX], row)
 }
 
 // AddRow accumulates into row iy of the named field.
-func (g *Grid) AddRow(name string, iy int, row []float64) {
+func (g *Grid) AddRow(name Field, iy int, row []float64) {
 	a := g.F(name)
 	base := g.Idx(0, iy)
 	for i, v := range row {
@@ -95,7 +110,7 @@ func (g *Grid) AddRow(name string, iy int, row []float64) {
 }
 
 // ClearGhosts zeroes the ghost rows of the named fields.
-func (g *Grid) ClearGhosts(names ...string) {
+func (g *Grid) ClearGhosts(names ...Field) {
 	for _, name := range names {
 		a := g.F(name)
 		for ix := 0; ix < g.NX; ix++ {
@@ -106,7 +121,7 @@ func (g *Grid) ClearGhosts(names ...string) {
 }
 
 // Zero clears the named fields entirely (ghosts included).
-func (g *Grid) Zero(names ...string) {
+func (g *Grid) Zero(names ...Field) {
 	for _, name := range names {
 		a := g.F(name)
 		for i := range a {
@@ -139,7 +154,7 @@ func (g *Grid) down() int { return (g.Rank - 1 + g.Ranks) % g.Ranks }
 //
 // p is the calling rank's process and comm the solver communicator; with one
 // rank the exchange degenerates to a local periodic copy.
-func (g *Grid) ExchangeHalos(p *psmpi.Proc, comm *psmpi.Comm, names ...string) {
+func (g *Grid) ExchangeHalos(p *psmpi.Proc, comm *psmpi.Comm, names ...Field) {
 	nx := g.NX
 	if g.Ranks == 1 {
 		for _, name := range names {

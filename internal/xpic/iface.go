@@ -13,7 +13,7 @@ import (
 
 // packFields serialises the local real rows of the named fields into one
 // flat buffer and charges the copy cost (cpyToArr).
-func packFields(p *psmpi.Proc, g *Grid, names []string) []float64 {
+func packFields(p *psmpi.Proc, g *Grid, names []Field) []float64 {
 	span := g.NX * g.LY // the real rows are contiguous: [NX, NX·(LY+1))
 	buf := make([]float64, len(names)*span)
 	for i, name := range names {
@@ -25,7 +25,7 @@ func packFields(p *psmpi.Proc, g *Grid, names []string) []float64 {
 
 // unpackFields deserialises a flat buffer into the local real rows of the
 // named fields and charges the copy cost (cpyFromArr).
-func unpackFields(p *psmpi.Proc, g *Grid, names []string, buf []float64) {
+func unpackFields(p *psmpi.Proc, g *Grid, names []Field, buf []float64) {
 	span := g.NX * g.LY
 	i := 0
 	for _, name := range names {

@@ -105,6 +105,14 @@ func (spec ResilientSpec) kernelWorkers() int {
 	return psmpi.DefaultKernelWorkers()
 }
 
+// orderFree says whether this attempt's launch may declare
+// psmpi.LaunchSpec.OrderFree: a plain compute run, one rank per node, with
+// no checkpoint store (its storage models schedule completion callbacks)
+// and no failure injection.
+func (spec ResilientSpec) orderFree() bool {
+	return spec.Store == nil && spec.Failures == nil
+}
+
 // checkpointDue says whether the state after `completed` steps is a
 // checkpoint point.
 func (spec ResilientSpec) checkpointDue(completed int) bool {
@@ -139,6 +147,7 @@ func runResilientMono(rt *psmpi.Runtime, spec ResilientSpec) (Report, error) {
 		StartTime:     spec.StartTime,
 		Failures:      spec.Failures,
 		KernelWorkers: spec.kernelWorkers(),
+		OrderFree:     spec.orderFree(),
 		Main: func(p *psmpi.Proc) error {
 			comm := p.World()
 			sim := NewSim(p, comm, spec.Cfg)
@@ -197,6 +206,7 @@ func runResilientSplit(rt *psmpi.Runtime, spec ResilientSpec) (Report, error) {
 		StartTime:     spec.StartTime,
 		Failures:      spec.Failures,
 		KernelWorkers: spec.kernelWorkers(),
+		OrderFree:     spec.orderFree(),
 		Main: func(p *psmpi.Proc) error {
 			return resilientBoosterMain(p, spec, s, bin)
 		},
@@ -313,7 +323,6 @@ func resilientClusterMain(p *psmpi.Proc, spec ResilientSpec, s *sink) error {
 
 	g := NewGrid(cfg.NX, cfg.NY, p.Rank(), comm.Size())
 	fld := NewFieldSolver(g, cfg)
-	gridState := append(append([]string(nil), FieldNames...), MomentNames...)
 	if spec.StartStep > 0 {
 		data, err := spec.Store.Load(p, grank)
 		if err != nil {
@@ -512,7 +521,7 @@ func restoreParticles(pcl *ParticleSolver, data []byte) (int, error) {
 
 // snapGrid serialises the named grid arrays (the cluster side's checkpoint
 // payload: fields plus the moments feeding the next solve).
-func snapGrid(g *Grid, names []string, step int) []byte {
+func snapGrid(g *Grid, names []Field, step int) []byte {
 	var e snapEnc
 	e.u32(snapMagicGrid)
 	e.u32(snapVersion)
@@ -525,7 +534,7 @@ func snapGrid(g *Grid, names []string, step int) []byte {
 }
 
 // restoreGrid loads a snapGrid payload into the same named arrays.
-func restoreGrid(g *Grid, names []string, data []byte) (int, error) {
+func restoreGrid(g *Grid, names []Field, data []byte) (int, error) {
 	d := snapDec{data: data, what: "grid"}
 	if m, ok := d.u32(); !ok || m != snapMagicGrid {
 		return 0, d.fail("magic")
@@ -544,7 +553,7 @@ func restoreGrid(g *Grid, names []string, data []byte) (int, error) {
 	for _, name := range names {
 		a, ok := d.f64s()
 		if !ok || len(a) != len(g.F(name)) {
-			return 0, d.fail("array " + name)
+			return 0, d.fail("array " + name.String())
 		}
 		copy(g.F(name), a)
 	}

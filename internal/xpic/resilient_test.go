@@ -149,13 +149,12 @@ func TestResilientSplitRestartEquivalence(t *testing.T) {
 // snapshot error, not panic allocating.
 func TestDecodersRejectHugeLength(t *testing.T) {
 	g := NewGrid(8, 8, 0, 1)
-	names := append(append([]string(nil), FieldNames...), MomentNames...)
-	snap := snapGrid(g, names, 3)
+	snap := snapGrid(g, gridState, 3)
 	// Layout: magic(4) version(4) step(8) nNames(8), then the first array's
 	// length at offset 24.
 	corrupt := append([]byte(nil), snap...)
 	binary.LittleEndian.PutUint64(corrupt[24:], 1<<60)
-	if _, err := restoreGrid(g, names, corrupt); err == nil {
+	if _, err := restoreGrid(g, gridState, corrupt); err == nil {
 		t.Fatal("huge length field accepted by restoreGrid")
 	}
 

@@ -99,9 +99,8 @@ func (s *Sim) Snapshot() []byte {
 	putU32(snapMagic)
 	putU32(snapVersion)
 	putU64(uint64(s.Step))
-	names := append(append([]string(nil), FieldNames...), MomentNames...)
-	putU64(uint64(len(names)))
-	for _, name := range names {
+	putU64(uint64(len(gridState)))
+	for _, name := range gridState {
 		putF64s(s.G.F(name))
 	}
 	putU64(uint64(len(s.Pcl.Species)))
@@ -165,14 +164,13 @@ func (s *Sim) Restore(data []byte) error {
 	}
 	s.Step = int(step)
 	nNames, ok := getU64()
-	names := append(append([]string(nil), FieldNames...), MomentNames...)
-	if !ok || int(nNames) != len(names) {
+	if !ok || int(nNames) != len(gridState) {
 		return fail("field count")
 	}
-	for _, name := range names {
+	for _, name := range gridState {
 		a, ok := getF64s()
 		if !ok || len(a) != len(s.G.F(name)) {
-			return fail("field " + name)
+			return fail("field " + name.String())
 		}
 		copy(s.G.F(name), a)
 	}
